@@ -1,6 +1,7 @@
 //! Allocation-regression gate: measures steady-state heap allocations per
 //! simulated kernel for the raw engine loop and for a single-GPU BLESS
-//! run, plus table-launch engine throughput, then writes
+//! run, plus table-launch engine throughput and how the chaos fleet's
+//! peak live heap grows with its simulated horizon, then writes
 //! `BENCH_alloc.json` at the repo root.
 //!
 //! Run with `cargo bench -p bench --bench alloc_stats --features
@@ -16,8 +17,8 @@
 
 use std::time::Instant;
 
-use cluster::ClusterOptions;
-use dnn_models::ModelKind;
+use cluster::{ChaosOptions, ClusterOptions};
+use dnn_models::{AppModel, ModelKind, Phase};
 use gpu_sim::{
     CtxKind, EventQueueKind, Gpu, GpuSpec, HostCosts, KernelDesc, KernelTableId, LaneEngine,
     MergedOutput, QueueId,
@@ -25,8 +26,9 @@ use gpu_sim::{
 use harness::cache;
 use harness::experiments::fleet10k;
 use harness::runner::System;
-use sim_core::{SimDuration, SimTime};
-use workloads::PaperWorkload;
+use profiler::ProfiledApp;
+use sim_core::{FaultSpec, SimDuration, SimTime};
+use workloads::{ArrivalPattern, PaperWorkload, TenantSpec, WorkloadSet};
 
 /// Measured marginal allocs/kernel for single-GPU BLESS before the
 /// zero-allocation work (same workload pair, same request counts).
@@ -45,6 +47,14 @@ const GATE_SLACK: f64 = 0.05;
 /// `std::thread::scope` allocates per spawned worker per drain round; that
 /// constant amortizes over the round's kernels but cannot reach zero.
 const LANE_THREADED_EPSILON: f64 = 0.5;
+
+/// Largest allowed ratio of the chaos fleet's peak live heap at horizon
+/// 2H over the peak at horizon H, on one trace that outlasts both. The
+/// trace's arrival and completion tables are the same size either way;
+/// per-kernel engine state would double.
+const CHAOS_GROWTH_CAP: f64 = 1.25;
+
+const MIB: f64 = 1024.0 * 1024.0;
 
 fn quick() -> bool {
     std::env::var_os("BENCH_QUICK").is_some()
@@ -229,6 +239,71 @@ fn cluster_marginals(n1: usize, n2: usize) -> (f64, f64) {
     (seq, sharded)
 }
 
+/// Peak live heap bytes of one `run_chaos` call cut at `horizon`
+/// (workload and profiles built before the window opens) plus the
+/// requests it completed. The fleet cycles one 0.6-quota VGG-11 tenant at
+/// 40 req/s and two 0.1-quota ones at 10 req/s per device over `span`,
+/// under one kill and one hang drawn in the first 400 ms, so horizons
+/// differ only in how much simulated time the devices cover.
+fn chaos_peak_live_bytes(gpus: usize, span: SimDuration, horizon: SimTime) -> (u64, usize) {
+    let spec = GpuSpec::a100();
+    let model = AppModel::build(ModelKind::Vgg11, Phase::Inference);
+    let profile = ProfiledApp::profile_shared(&model, &spec);
+    let cycle = [(0.6, 25u64), (0.1, 100), (0.1, 100)];
+    let tenants: Vec<TenantSpec> = (0..3 * gpus)
+        .map(|i| {
+            let (quota, period_ms) = cycle[i % cycle.len()];
+            let period = SimDuration::from_millis(period_ms);
+            TenantSpec::new(
+                model.clone(),
+                quota,
+                ArrivalPattern::Periodic {
+                    period,
+                    count: (span.as_nanos() / period.as_nanos()) as usize,
+                    offset: SimDuration::from_micros(i as u64 * 617 % (period_ms * 1000)),
+                },
+            )
+        })
+        .collect();
+    let ws = WorkloadSet { tenants, seed: 11 };
+    let profiles = vec![profile; ws.len()];
+    let window = (SimTime::from_millis(100), SimTime::from_millis(400));
+    let faults = FaultSpec {
+        gpu_fail_count: 1,
+        gpu_fail_window: window,
+        gpu_hang_count: 1,
+        gpu_hang_window: window,
+        gpu_hang_len: SimDuration::from_millis(20),
+        ..FaultSpec::default()
+    };
+    bench::reset_peak_live_bytes();
+    let base = bench::live_bytes();
+    let run = cluster::run_chaos(
+        &ws,
+        profiles,
+        gpus,
+        &spec,
+        &bless::BlessParams::default(),
+        horizon,
+        3,
+        &faults,
+        &ChaosOptions {
+            parallel: false,
+            ..ChaosOptions::default()
+        },
+    )
+    .expect("chaos placement");
+    assert!(
+        !run.migrations.is_empty(),
+        "the chaos row must recover work"
+    );
+    let peak = bench::peak_live_bytes() - base;
+    let completed = (0..run.log.apps())
+        .map(|a| run.log.completed_count(a))
+        .sum();
+    (peak, completed)
+}
+
 /// (total allocations, simulated kernels) for one single-GPU BLESS run.
 fn bless_run(requests: usize) -> (u64, u64) {
     let spec = GpuSpec::a100();
@@ -349,6 +424,33 @@ fn main() {
         );
     }
 
+    // Chaos memory growth: one fleet, trace and fault schedule, cut at
+    // horizon H and at 2H. The devices run twice the kernels by 2H;
+    // instance slots are recycled, so the peak must stay nearly flat.
+    let (chaos_gpus, chaos_span) = if quick() {
+        (8, SimDuration::from_secs(4))
+    } else {
+        (16, SimDuration::from_secs(8))
+    };
+    let chaos_h = SimTime::ZERO + chaos_span.mul_f64(0.25);
+    let chaos_2h = SimTime::ZERO + chaos_span.mul_f64(0.5);
+    let (chaos_peak_h, chaos_req_h) = chaos_peak_live_bytes(chaos_gpus, chaos_span, chaos_h);
+    let (chaos_peak_2h, chaos_req_2h) = chaos_peak_live_bytes(chaos_gpus, chaos_span, chaos_2h);
+    let chaos_growth = chaos_peak_2h as f64 / chaos_peak_h.max(1) as f64;
+    println!(
+        "chaos peak live heap: {:.2} MiB at H ({chaos_req_h} requests served), {:.2} MiB at 2H \
+         ({chaos_req_2h} served): x{chaos_growth:.3}",
+        chaos_peak_h as f64 / MIB,
+        chaos_peak_2h as f64 / MIB,
+    );
+    if counting {
+        assert!(
+            chaos_growth <= CHAOS_GROWTH_CAP,
+            "chaos peak live heap grew x{chaos_growth:.3} from horizon H to 2H (cap \
+             x{CHAOS_GROWTH_CAP}): engine memory is tracking simulated time"
+        );
+    }
+
     // Marginal allocations per kernel: two runs differing only in request
     // count; the delta cancels per-run setup (driver, profiles, logs).
     let (a1, k1) = bless_run(8);
@@ -389,8 +491,13 @@ fn main() {
         return;
     }
     let json = format!(
-        "{{\n  \"bench\": \"alloc_stats\",\n  \"regenerate\": \"cargo bench -p bench --bench alloc_stats --features count-alloc\",\n  \"count_alloc\": {counting},\n  \"engine\": {{\n    \"kernels\": {engine_n},\n    \"allocs_per_kernel\": {engine:.4},\n    \"allocs_per_kernel_per_resource\": {engine_pr:.4},\n    \"allocs_per_kernel_before\": {BEFORE_ENGINE:.4},\n    \"table_launch_kernels_per_sec\": {kps:.0}\n  }},\n  \"lanes\": {{\n    \"lanes\": 4,\n    \"kernels\": {},\n    \"allocs_per_kernel_seq\": {lane_seq:.4},\n    \"allocs_per_kernel_par\": {lane_par:.4},\n    \"allocs_per_kernel_par_threaded\": {lane_threaded:.4}\n  }},\n  \"cluster\": {{\n    \"gpus\": [{c1}, {c2}],\n    \"allocs_per_gpu_seq\": {cluster_seq:.1},\n    \"allocs_per_gpu_sharded\": {cluster_sharded:.1},\n    \"sharding_overhead_per_gpu\": {shard_overhead:.4}\n  }},\n  \"bless\": {{\n    \"allocs_per_kernel_bless\": {bless_marginal:.4},\n    \"allocs_per_kernel_before\": {BEFORE_BLESS:.4},\n    \"improvement_factor\": {:.1},\n    \"runs\": [[{a1}, {k1}], [{a2}, {k2}]]\n  }}\n}}\n",
+        "{{\n  \"bench\": \"alloc_stats\",\n  \"regenerate\": \"cargo bench -p bench --bench alloc_stats --features count-alloc\",\n  \"count_alloc\": {counting},\n  \"engine\": {{\n    \"kernels\": {engine_n},\n    \"allocs_per_kernel\": {engine:.4},\n    \"allocs_per_kernel_per_resource\": {engine_pr:.4},\n    \"allocs_per_kernel_before\": {BEFORE_ENGINE:.4},\n    \"table_launch_kernels_per_sec\": {kps:.0}\n  }},\n  \"lanes\": {{\n    \"lanes\": 4,\n    \"kernels\": {},\n    \"allocs_per_kernel_seq\": {lane_seq:.4},\n    \"allocs_per_kernel_par\": {lane_par:.4},\n    \"allocs_per_kernel_par_threaded\": {lane_threaded:.4}\n  }},\n  \"cluster\": {{\n    \"gpus\": [{c1}, {c2}],\n    \"allocs_per_gpu_seq\": {cluster_seq:.1},\n    \"allocs_per_gpu_sharded\": {cluster_sharded:.1},\n    \"sharding_overhead_per_gpu\": {shard_overhead:.4}\n  }},\n  \"chaos\": {{\n    \"gpus\": {chaos_gpus},\n    \"span_s\": {},\n    \"horizon_s\": [{}, {}],\n    \"served\": [{chaos_req_h}, {chaos_req_2h}],\n    \"peak_live_mib\": [{:.3}, {:.3}],\n    \"growth_2x_horizon\": {chaos_growth:.3},\n    \"growth_cap\": {CHAOS_GROWTH_CAP}\n  }},\n  \"bless\": {{\n    \"allocs_per_kernel_bless\": {bless_marginal:.4},\n    \"allocs_per_kernel_before\": {BEFORE_BLESS:.4},\n    \"improvement_factor\": {:.1},\n    \"runs\": [[{a1}, {k1}], [{a2}, {k2}]]\n  }}\n}}\n",
         lane_n * 4,
+        chaos_span.as_secs_f64(),
+        chaos_h.as_secs_f64(),
+        chaos_2h.as_secs_f64(),
+        chaos_peak_h as f64 / MIB,
+        chaos_peak_2h as f64 / MIB,
         BEFORE_BLESS / bless_marginal.max(1e-9),
     );
     std::fs::write(path, json).expect("write BENCH_alloc.json");

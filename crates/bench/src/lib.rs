@@ -14,8 +14,9 @@ use workloads::{pair_workload, PaperWorkload, WorkloadSet};
 /// (`cargo bench --bench alloc_stats --features count-alloc`). Every heap
 /// allocation bumps a relaxed atomic; the `alloc_stats` bench reads the
 /// counter around a steady-state window to compute allocations per
-/// simulated kernel. Behind a feature so ordinary builds and benches keep
-/// the system allocator untouched.
+/// simulated kernel. It also tracks live bytes and their peak, so the
+/// bench can gate memory growth. Behind a feature so ordinary builds and
+/// benches keep the system allocator untouched.
 #[cfg(feature = "count-alloc")]
 mod counting_alloc {
     use std::alloc::{GlobalAlloc, Layout, System};
@@ -23,6 +24,14 @@ mod counting_alloc {
 
     pub static ALLOCS: AtomicU64 = AtomicU64::new(0);
     pub static BYTES: AtomicU64 = AtomicU64::new(0);
+    pub static LIVE: AtomicU64 = AtomicU64::new(0);
+    pub static PEAK: AtomicU64 = AtomicU64::new(0);
+
+    /// Adds `n` live bytes and raises the peak to match.
+    fn grow(n: u64) {
+        let live = LIVE.fetch_add(n, Ordering::Relaxed) + n;
+        PEAK.fetch_max(live, Ordering::Relaxed);
+    }
 
     struct CountingAlloc;
 
@@ -32,10 +41,15 @@ mod counting_alloc {
         unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
             ALLOCS.fetch_add(1, Ordering::Relaxed);
             BYTES.fetch_add(layout.size() as u64, Ordering::Relaxed);
-            unsafe { System.alloc(layout) }
+            let p = unsafe { System.alloc(layout) };
+            if !p.is_null() {
+                grow(layout.size() as u64);
+            }
+            p
         }
 
         unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
+            LIVE.fetch_sub(layout.size() as u64, Ordering::Relaxed);
             unsafe { System.dealloc(ptr, layout) }
         }
 
@@ -43,7 +57,12 @@ mod counting_alloc {
             // A grow-in-place still traverses the allocator; count it.
             ALLOCS.fetch_add(1, Ordering::Relaxed);
             BYTES.fetch_add(new_size as u64, Ordering::Relaxed);
-            unsafe { System.realloc(ptr, layout, new_size) }
+            let p = unsafe { System.realloc(ptr, layout, new_size) };
+            if !p.is_null() {
+                LIVE.fetch_sub(layout.size() as u64, Ordering::Relaxed);
+                grow(new_size as u64);
+            }
+            p
         }
     }
 
@@ -77,6 +96,44 @@ pub fn alloc_bytes() -> u64 {
     #[cfg(not(feature = "count-alloc"))]
     {
         0
+    }
+}
+
+/// Heap bytes currently allocated (0 without `count-alloc`).
+pub fn live_bytes() -> u64 {
+    #[cfg(feature = "count-alloc")]
+    {
+        counting_alloc::LIVE.load(std::sync::atomic::Ordering::Relaxed)
+    }
+    #[cfg(not(feature = "count-alloc"))]
+    {
+        0
+    }
+}
+
+/// Highest [`live_bytes`] since the last [`reset_peak_live_bytes`] (0
+/// without `count-alloc`).
+pub fn peak_live_bytes() -> u64 {
+    #[cfg(feature = "count-alloc")]
+    {
+        counting_alloc::PEAK.load(std::sync::atomic::Ordering::Relaxed)
+    }
+    #[cfg(not(feature = "count-alloc"))]
+    {
+        0
+    }
+}
+
+/// Restarts the peak at the current live bytes, opening a measurement
+/// window for [`peak_live_bytes`].
+pub fn reset_peak_live_bytes() {
+    #[cfg(feature = "count-alloc")]
+    {
+        use std::sync::atomic::Ordering;
+        counting_alloc::PEAK.store(
+            counting_alloc::LIVE.load(Ordering::Relaxed),
+            Ordering::Relaxed,
+        );
     }
 }
 

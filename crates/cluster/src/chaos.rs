@@ -292,6 +292,9 @@ pub struct ChaosRun {
     pub trace: Vec<TraceEvent>,
     /// Final-drain outcome per GPU slot (`None` for devices that died).
     pub outcomes: Vec<Option<RunOutcome>>,
+    /// Instance-slot high-water per GPU slot ([`Gpu::instance_slots`]),
+    /// the largest over the slot's incarnations.
+    pub instance_slots: Vec<usize>,
 }
 
 impl ChaosRun {
@@ -471,17 +474,17 @@ pub fn run_chaos<P: Into<SharedProfile>>(
                 driver.restore_share_mode(a, modes[t], 0);
             }
         }
-        let gpu = Gpu::new(spec.clone(), HostCosts::paper());
         slots.push(Some(Slot {
             tenants,
             req_map,
-            sim: Simulation::new(gpu, driver, arrivals),
+            sim: Simulation::new(incarnation_gpu(spec), driver, arrivals),
         }));
     }
 
     // Completion table, filled as incarnations retire or finish.
     let mut completions: Vec<Vec<Option<SimTime>>> =
         fleet_arrivals.iter().map(|a| vec![None; a.len()]).collect();
+    let mut instance_slots = vec![0; placement.gpus_used];
 
     // Merge the kill and hang schedules into one deterministic sequence:
     // time order, failures before hangs on ties, device index last.
@@ -566,7 +569,7 @@ pub fn run_chaos<P: Into<SharedProfile>>(
                 let slot = slots[g]
                     .take()
                     .unwrap_or_else(|| unreachable!("source was alive at the check"));
-                let evacuees = quiesce(slot, ev.at, &mut completions);
+                let evacuees = quiesce(slot, ev.at, &mut completions, &mut instance_slots[g]);
                 let mut stay: Vec<Evacuee> = Vec::new();
                 let mut movers: Vec<Evacuee> = Vec::new();
                 for (a, e) in evacuees.into_iter().enumerate() {
@@ -627,7 +630,7 @@ pub fn run_chaos<P: Into<SharedProfile>>(
                     let target = slots[h]
                         .take()
                         .unwrap_or_else(|| unreachable!("policy only selects alive targets"));
-                    let mut all = quiesce(target, ev.at, &mut completions);
+                    let mut all = quiesce(target, ev.at, &mut completions, &mut instance_slots[h]);
                     for e in migrants {
                         record_recovery(
                             &e,
@@ -666,7 +669,7 @@ pub fn run_chaos<P: Into<SharedProfile>>(
             });
             continue;
         };
-        let evacuees = quiesce(slot, ev.at, &mut completions);
+        let evacuees = quiesce(slot, ev.at, &mut completions, &mut instance_slots[g]);
         if opts.capture_trace {
             fleet_events.push(TraceEvent::DeviceFailed {
                 at: ev.at,
@@ -775,7 +778,7 @@ pub fn run_chaos<P: Into<SharedProfile>>(
                     let target = slots[h]
                         .take()
                         .unwrap_or_else(|| unreachable!("policy only selects alive targets"));
-                    let mut all = quiesce(target, ev.at, &mut completions);
+                    let mut all = quiesce(target, ev.at, &mut completions, &mut instance_slots[h]);
                     for e in migrants {
                         record_recovery(
                             &e,
@@ -848,6 +851,7 @@ pub fn run_chaos<P: Into<SharedProfile>>(
     let mut outcomes: Vec<Option<RunOutcome>> = vec![None; placement.gpus_used];
     for (g, slot, outcome) in finished {
         harvest(&slot, &mut completions);
+        instance_slots[g] = instance_slots[g].max(slot.sim.gpu.instance_slots());
         outcomes[g] = Some(outcome);
     }
 
@@ -894,6 +898,7 @@ pub fn run_chaos<P: Into<SharedProfile>>(
         skipped,
         trace,
         outcomes,
+        instance_slots,
     })
 }
 
@@ -916,11 +921,18 @@ fn harvest(slot: &Slot, completions: &mut [Vec<Option<SimTime>>]) {
 /// Quiesces an incarnation at a barrier one nanosecond before `at`,
 /// abandons its in-flight device work, and converts the driver checkpoint
 /// plus the undelivered arrival tail into portable [`Evacuee`]s (fleet
-/// ids). Completed requests are harvested before the incarnation drops.
-fn quiesce(mut slot: Slot, at: SimTime, completions: &mut [Vec<Option<SimTime>>]) -> Vec<Evacuee> {
+/// ids). Completed requests are harvested and the device's instance-slot
+/// high-water folded into `high_water` before the incarnation drops.
+fn quiesce(
+    mut slot: Slot,
+    at: SimTime,
+    completions: &mut [Vec<Option<SimTime>>],
+    high_water: &mut usize,
+) -> Vec<Evacuee> {
     let barrier = SimTime::from_nanos(at.as_nanos().saturating_sub(1));
     slot.sim.run(barrier);
     let _device = slot.sim.gpu.drain_snapshot();
+    *high_water = (*high_water).max(slot.sim.gpu.instance_slots());
     let ckpt: Vec<TenantCheckpoint> = slot.sim.driver.export_checkpoint();
     let futures: Vec<RequestArrival> = slot.sim.take_pending_arrivals();
     harvest(&slot, completions);
@@ -1004,12 +1016,21 @@ fn build_slot(
         }
         req_map.push(map);
     }
-    let gpu = Gpu::new(spec.clone(), HostCosts::paper());
     Slot {
         tenants: evacuees.into_iter().map(|e| e.tenant).collect(),
         req_map,
-        sim: Simulation::new(gpu, driver, arrivals),
+        sim: Simulation::new(incarnation_gpu(spec), driver, arrivals),
     }
+}
+
+/// The device of one incarnation. Its driver only consumes completion
+/// tags and [`quiesce`] discards the device checkpoint, so retired
+/// instance slots are recycled: engine memory tracks live kernels, not
+/// the simulated time a long-lived device accumulates.
+fn incarnation_gpu(spec: &GpuSpec) -> Gpu {
+    let mut gpu = Gpu::new(spec.clone(), HostCosts::paper());
+    gpu.set_slot_recycling(true);
+    gpu
 }
 
 #[cfg(test)]
@@ -1024,6 +1045,11 @@ mod tests {
     /// `n` identical VGG tenants with the given quotas, open-loop periodic
     /// load (12 requests, 5 ms apart, staggered 1 ms per tenant).
     fn fixture(quotas: &[f64]) -> (GpuSpec, WorkloadSet, Vec<SharedProfile>) {
+        fixture_with(quotas, 12)
+    }
+
+    /// [`fixture`] with `count` requests per tenant.
+    fn fixture_with(quotas: &[f64], count: usize) -> (GpuSpec, WorkloadSet, Vec<SharedProfile>) {
         let spec = GpuSpec::a100();
         let model = AppModel::build(ModelKind::Vgg11, Phase::Inference);
         let tenants: Vec<TenantSpec> = quotas
@@ -1035,7 +1061,7 @@ mod tests {
                     q,
                     ArrivalPattern::Periodic {
                         period: SimDuration::from_millis(5),
-                        count: 12,
+                        count,
                         offset: SimDuration::from_millis(i as u64),
                     },
                 )
@@ -1141,6 +1167,43 @@ mod tests {
                 assert_eq!(per_tenant(&chaos.log, t), want, "tenant {t}");
             }
         }
+    }
+
+    /// Every incarnation recycles instance slots: twice the trace span
+    /// runs about twice the kernels under the same kills and hangs, but
+    /// leaves each device's instance-slot high-water where it was.
+    #[test]
+    fn instance_slots_do_not_grow_with_the_trace_span() {
+        let fspec = fault_spec(1, 1);
+        let run = |count: usize| {
+            let (spec, ws, profiles) = fixture_with(&[0.45; 6], count);
+            let per_request = profiles[0].kernel_count();
+            let run = run_chaos(
+                &ws,
+                profiles,
+                4,
+                &spec,
+                &BlessParams::default(),
+                horizon(),
+                7,
+                &fspec,
+                &ChaosOptions::default(),
+            )
+            .unwrap();
+            assert!(!run.migrations.is_empty(), "the fixture must recover work");
+            let completed: usize = (0..run.log.apps())
+                .map(|a| run.log.completed_count(a))
+                .sum();
+            (completed * per_request, run.instance_slots)
+        };
+        let (kernels, slots) = run(40);
+        let (kernels_2x, slots_2x) = run(80);
+        assert!(
+            kernels_2x * 10 >= kernels * 19,
+            "doubling the span must roughly double the work ({kernels} -> {kernels_2x})"
+        );
+        assert_eq!(slots_2x, slots, "instance slots grew with the trace span");
+        assert!(slots.iter().all(|&s| s * 10 < kernels / slots.len()));
     }
 
     #[test]

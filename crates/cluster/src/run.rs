@@ -50,6 +50,10 @@ pub struct GpuRun {
     /// ([`bless::LaneHints::is_fully_sharded`]) and each tenant ran on
     /// its own isolated lane.
     pub lanes: usize,
+    /// High-water of the engine's instance slots
+    /// ([`Gpu::instance_slots`]), summed over lanes. Slots are recycled,
+    /// so this tracks peak concurrently live kernels, not kernels run.
+    pub instance_slots: usize,
     /// This GPU's structured trace stream (empty unless
     /// [`ClusterOptions::capture_trace`] was set). Events are GPU-local:
     /// app ids index into `tenants`.
@@ -403,6 +407,8 @@ pub struct FleetSummary {
     pub max_latency_ns: u64,
     /// Mean per-GPU utilization (folded in GPU order).
     pub mean_utilization: f64,
+    /// Largest per-GPU instance-slot high-water ([`GpuRun::instance_slots`]).
+    pub max_instance_slots: usize,
     /// FNV-1a fold of every GPU's request-log digest, in GPU order —
     /// byte-identical to hashing the sequential run's logs.
     pub digest: u64,
@@ -433,6 +439,7 @@ struct FleetAccumulator {
     completed: AtomicU64,
     latency_ns: AtomicU64,
     max_latency_ns: AtomicU64,
+    max_instance_slots: AtomicUsize,
 }
 
 impl FleetAccumulator {
@@ -445,6 +452,7 @@ impl FleetAccumulator {
             completed: AtomicU64::new(0),
             latency_ns: AtomicU64::new(0),
             max_latency_ns: AtomicU64::new(0),
+            max_instance_slots: AtomicUsize::new(0),
         }
     }
 
@@ -470,6 +478,8 @@ impl FleetAccumulator {
         self.latency_ns.fetch_add(latency, Ordering::Relaxed);
         self.max_latency_ns
             .fetch_max(max_latency, Ordering::Relaxed);
+        self.max_instance_slots
+            .fetch_max(run.instance_slots, Ordering::Relaxed);
         if run.outcome == RunOutcome::Completed {
             self.completed_gpus.fetch_add(1, Ordering::Relaxed);
         }
@@ -493,6 +503,7 @@ impl FleetAccumulator {
             completed_requests: self.completed.into_inner(),
             latency_sum_ns: self.latency_ns.into_inner(),
             max_latency_ns: self.max_latency_ns.into_inner(),
+            max_instance_slots: self.max_instance_slots.into_inner(),
             mean_utilization: if gpus > 0 {
                 util_sum / gpus as f64
             } else {
@@ -650,6 +661,9 @@ fn run_one_gpu(
         }
     }
     let mut gpu = Gpu::new(spec.clone(), HostCosts::paper());
+    // The driver only consumes completion tags, so retired instance
+    // slots are recycled: engine memory tracks live kernels, not time.
+    gpu.set_slot_recycling(true);
     let sink = if opts.capture_trace {
         let s = BufferSink::new();
         gpu.set_trace_sink(Box::new(s.clone()));
@@ -674,6 +688,7 @@ fn run_one_gpu(
         outcome,
         utilization,
         lanes: 1,
+        instance_slots: sim.gpu.instance_slots(),
         trace: sink.map(|s| s.take()).unwrap_or_default(),
     }
 }
@@ -706,6 +721,7 @@ fn run_one_gpu_sharded(
     let mut outcome = RunOutcome::Completed;
     let mut busy = 0.0;
     let mut makespan = 0.0f64;
+    let mut instance_slots = 0;
     for (lane, arrivals) in per_lane.into_iter().enumerate() {
         let t = tenants[lane];
         let app = DeployedApp::new(
@@ -715,9 +731,11 @@ fn run_one_gpu_sharded(
         );
         let mut driver = BlessDriver::new(vec![app], params.clone());
         driver.restore_share_mode(0, modes[lane], 0);
-        let gpu = Gpu::new(spec.clone(), HostCosts::paper());
+        let mut gpu = Gpu::new(spec.clone(), HostCosts::paper());
+        gpu.set_slot_recycling(true);
         let mut sim = Simulation::new(gpu, driver, arrivals);
         let lane_outcome = sim.run(horizon);
+        instance_slots += sim.gpu.instance_slots();
         if outcome == RunOutcome::Completed {
             outcome = lane_outcome;
         }
@@ -743,6 +761,7 @@ fn run_one_gpu_sharded(
         outcome,
         utilization,
         lanes,
+        instance_slots,
         trace: Vec::new(),
     }
 }
@@ -1177,5 +1196,64 @@ mod tests {
             err,
             PlacementError::Unplaceable { request: 0, .. }
         ));
+    }
+
+    /// Instance storage tracks live kernels, not simulated time: twice
+    /// the periodic trace span runs twice the kernels on every GPU but
+    /// leaves each engine's instance-slot high-water where it was.
+    #[test]
+    fn instance_slots_do_not_grow_with_the_trace_span() {
+        let spec = GpuSpec::a100();
+        let kinds = [ModelKind::Vgg11, ModelKind::ResNet50, ModelKind::Bert];
+        let profiles: Vec<SharedProfile> = kinds
+            .iter()
+            .map(|&k| ProfiledApp::profile_shared(&AppModel::build(k, Phase::Inference), &spec))
+            .collect();
+        let run = |count: usize| {
+            let tenants = kinds
+                .iter()
+                .enumerate()
+                .map(|(i, &k)| {
+                    TenantSpec::new(
+                        AppModel::build(k, Phase::Inference),
+                        0.5,
+                        ArrivalPattern::Periodic {
+                            period: SimDuration::from_millis(20),
+                            count,
+                            offset: SimDuration::from_millis(i as u64),
+                        },
+                    )
+                })
+                .collect();
+            let ws = WorkloadSet { tenants, seed: 5 };
+            let opts = ClusterOptions::default();
+            let params = BlessParams::default();
+            let horizon = SimTime::from_secs(60);
+            let summary =
+                run_cluster_stream(&ws, profiles.clone(), 4, &spec, &params, horizon, &opts)
+                    .unwrap();
+            assert!(summary.all_completed());
+            let seq = run_cluster_seq(&ws, profiles.clone(), 4, &spec, &params, horizon).unwrap();
+            let kernels: usize = seq
+                .gpus
+                .iter()
+                .flat_map(|g| {
+                    g.tenants.iter().enumerate().map(|(local, &t)| {
+                        g.log.completed_count(local) * profiles[t].kernel_count()
+                    })
+                })
+                .sum();
+            let slots: Vec<usize> = seq.gpus.iter().map(|g| g.instance_slots).collect();
+            assert_eq!(
+                summary.max_instance_slots,
+                slots.iter().copied().max().unwrap()
+            );
+            (kernels, slots)
+        };
+        let (kernels, slots) = run(10);
+        let (kernels_2x, slots_2x) = run(20);
+        assert_eq!(kernels_2x, 2 * kernels);
+        assert_eq!(slots_2x, slots, "instance slots grew with the trace span");
+        assert!(slots.iter().all(|&s| s > 0 && s * 10 < kernels));
     }
 }

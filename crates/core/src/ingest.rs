@@ -511,10 +511,14 @@ impl ServeDaemon {
     /// Deploys `apps` on `gpu` behind an ingest stage. Returns the daemon
     /// plus one [`TenantStream`] per app (in app order), or the profiler's
     /// typed rejection.
+    ///
+    /// The daemon only consumes completion tags, so it turns on slot
+    /// recycling ([`Gpu::set_slot_recycling`]): a long-running daemon's
+    /// engine memory tracks live kernels, not kernels served.
     pub fn new(
         apps: Vec<DeployedApp>,
         params: BlessParams,
-        gpu: Gpu,
+        mut gpu: Gpu,
         cfg: &IngestConfig,
         capacity_mib: u64,
         policy: &AdmissionPolicy,
@@ -523,6 +527,7 @@ impl ServeDaemon {
         admit(&profiles, capacity_mib, policy)?;
         let tenants = apps.len();
         let driver = BlessDriver::new(apps, params);
+        gpu.set_slot_recycling(true);
         let sim = Simulation::new(gpu, driver, Vec::new());
         let (stage, streams) = IngestStage::new(tenants, cfg);
         Ok((

@@ -1,5 +1,7 @@
 //! Application model definitions and the Table 1 calibration constants.
 
+use std::sync::Arc;
+
 use gpu_sim::KernelDesc;
 use sim_core::SimDuration;
 
@@ -149,8 +151,10 @@ pub struct AppModel {
     pub phase: Phase,
     /// Stable generated name, e.g. `"r50-inf"`.
     pub name: String,
-    /// The kernel sequence of one request (H2D, compute kernels, D2H).
-    pub kernels: Vec<KernelDesc>,
+    /// The kernel sequence of one request (H2D, compute kernels, D2H),
+    /// shared by every clone of the model: a fleet of tenants serving one
+    /// model holds one kernel table, not one per tenant.
+    pub kernels: Arc<[KernelDesc]>,
     /// Device memory the application needs resident, in MiB.
     pub memory_mib: u64,
 }
@@ -166,7 +170,7 @@ impl AppModel {
             kind,
             phase,
             name,
-            kernels,
+            kernels: kernels.into(),
             memory_mib,
         }
     }
@@ -342,7 +346,7 @@ mod tests {
         let a = AppModel::build(ModelKind::NasNet, Phase::Inference);
         let b = AppModel::build(ModelKind::NasNet, Phase::Inference);
         assert_eq!(a.kernels.len(), b.kernels.len());
-        for (ka, kb) in a.kernels.iter().zip(&b.kernels) {
+        for (ka, kb) in a.kernels.iter().zip(b.kernels.iter()) {
             assert_eq!(ka.work, kb.work);
             assert_eq!(ka.max_sms, kb.max_sms);
             assert_eq!(ka.mem_intensity, kb.mem_intensity);

@@ -29,7 +29,7 @@ use sim_core::trace::{TraceEvent, TraceSink};
 use sim_core::{DynEventQueue, EventQueueKind, FaultPlan, SimDuration, SimTime};
 
 use crate::alloc::{allocate_sms_into, CtxGroup, KernelDemand};
-use crate::channel::{Channel, ChannelModel, NUM_CHANNELS};
+use crate::channel::{Channel, ChannelDemand, ChannelModel, NUM_CHANNELS};
 use crate::kernel::{KernelDesc, KernelKind, KernelTableId};
 use crate::spec::{GpuSpec, HostCosts, HwPolicy};
 
@@ -156,9 +156,42 @@ struct Queue {
     last_arrival: SimTime,
 }
 
+/// The scheduling fields of a launched kernel's descriptor, copied out
+/// at launch so an instance holds no `Arc` (see [`KernelName`]).
+#[derive(Clone, Copy, Debug)]
+struct KernelShape {
+    kind: KernelKind,
+    work: f64,
+    max_sms: u32,
+    mem_intensity: f64,
+    demand: ChannelDemand,
+}
+
+impl KernelShape {
+    fn of(desc: &KernelDesc) -> Self {
+        KernelShape {
+            kind: desc.kind,
+            work: desc.work,
+            max_sms: desc.max_sms,
+            mem_intensity: desc.mem_intensity,
+            demand: desc.demand,
+        }
+    }
+}
+
+/// Where a launched kernel's name lives; only [`Gpu::kernel_name`]
+/// resolves it. Table launches reference the interned descriptor, so they
+/// touch no refcount; by-value launches keep the name they were handed.
+#[derive(Debug)]
+enum KernelName {
+    Table { table: u32, index: u32 },
+    Owned(Arc<str>),
+}
+
 #[derive(Debug)]
 struct Instance {
-    desc: KernelDesc,
+    shape: KernelShape,
+    name: KernelName,
     queue: QueueId,
     tag: u64,
     state: InstState,
@@ -190,6 +223,9 @@ struct Instance {
     /// Unique launch sequence number for the trace stream; 0 when the
     /// launch happened with tracing disabled.
     trace_seq: u64,
+    /// Launch order on this device (recycled slots are reused LIFO, so
+    /// slot order is launch order only with recycling off).
+    launch_seq: u64,
 }
 
 /// One recorded execution segment of a kernel (for fine-grained timelines,
@@ -332,6 +368,7 @@ pub struct Gpu {
     /// completions feeding closed-loop clients).
     notices: Vec<u64>,
     next_run_seq: u64,
+    next_launch_seq: u64,
     /// Completed slots available for reuse (only fed when
     /// `recycle_slots` is on).
     free_slots: Vec<usize>,
@@ -406,6 +443,7 @@ impl Gpu {
             live_instances: 0,
             notices: Vec::new(),
             next_run_seq: 0,
+            next_launch_seq: 0,
             free_slots: Vec::new(),
             recycle_slots: false,
             fault: None,
@@ -736,25 +774,27 @@ impl Gpu {
         self.charge_host(self.costs.kernel_launch);
         let arrive_at = (self.host_free + extra).max(self.queues[queue.0 as usize].last_arrival);
         self.queues[queue.0 as usize].last_arrival = arrive_at;
-        Ok(self.enqueue_instance(queue, desc, tag, arrive_at))
+        let shape = KernelShape::of(&desc);
+        Ok(self.enqueue_instance(queue, shape, KernelName::Owned(desc.name), tag, arrive_at))
     }
 
     /// Registers one launched instance and schedules its device arrival.
     fn enqueue_instance(
         &mut self,
         queue: QueueId,
-        desc: KernelDesc,
+        shape: KernelShape,
+        name: KernelName,
         tag: u64,
         arrive_at: SimTime,
     ) -> KernelHandle {
-        let mut remaining = match desc.kind {
-            KernelKind::Compute { .. } => desc.work,
+        let mut remaining = match shape.kind {
+            KernelKind::Compute { .. } => shape.work,
             KernelKind::MemcpyH2D { bytes } | KernelKind::MemcpyD2H { bytes } => bytes as f64,
         };
         // Injected stragglers / profile drift inflate the *actual* work of
         // compute launches while the driver keeps predicting from the
         // unmodified profile — exactly the mismatch the watchdog must catch.
-        if let (Some(f), KernelKind::Compute { .. }) = (&mut self.fault, desc.kind) {
+        if let (Some(f), KernelKind::Compute { .. }) = (&mut self.fault, shape.kind) {
             let app = crate::sim::decode_tag(tag).0 as u32;
             let mult = f.plan.work_multiplier(app);
             if mult != 1.0 {
@@ -785,8 +825,11 @@ impl Gpu {
         } else {
             0
         };
+        let launch_seq = self.next_launch_seq;
+        self.next_launch_seq += 1;
         let inst = Instance {
-            desc,
+            shape,
+            name,
             queue,
             tag,
             state: InstState::InFlight,
@@ -801,6 +844,7 @@ impl Gpu {
             started_at: None,
             finished_at: None,
             trace_seq,
+            launch_seq,
         };
         let slot = match self.free_slots.pop() {
             Some(s) => {
@@ -861,7 +905,10 @@ impl Gpu {
         self.queues[queue.0 as usize].last_arrival = arrive_at;
         let handles = group
             .into_iter()
-            .map(|(desc, tag)| self.enqueue_instance(queue, desc, tag, arrive_at))
+            .map(|(desc, tag)| {
+                let shape = KernelShape::of(&desc);
+                self.enqueue_instance(queue, shape, KernelName::Owned(desc.name), tag, arrive_at)
+            })
             .collect();
         Ok(handles)
     }
@@ -870,10 +917,12 @@ impl Gpu {
     /// one application's profiled kernel sequence) that subsequent
     /// [`Gpu::launch_table`] / [`Gpu::launch_table_graph`] calls reference
     /// by `(table, index)`. Registering costs one `Arc` refcount bump plus
-    /// a slot in the table registry; launching from a table then clones
-    /// nothing but the descriptor's interned `Arc<str>` name.
+    /// a slot in the table registry; launching from a table then copies
+    /// the descriptor's scheduling fields and records the name as a
+    /// `(table, index)` reference, touching no refcount.
     pub fn register_kernel_table(&mut self, table: Arc<[KernelDesc]>) -> KernelTableId {
         debug_assert!(self.tables.len() < u32::MAX as usize);
+        debug_assert!(table.len() <= u32::MAX as usize);
         self.tables.push(table);
         KernelTableId((self.tables.len() - 1) as u32)
     }
@@ -916,11 +965,15 @@ impl Gpu {
         if queue.0 as usize >= self.queues.len() {
             return Err(GpuError::UnknownQueue(queue));
         }
-        let desc = self.table_desc(table, index)?.clone();
+        let shape = KernelShape::of(self.table_desc(table, index)?);
         self.charge_host(self.costs.kernel_launch);
         let arrive_at = (self.host_free + extra).max(self.queues[queue.0 as usize].last_arrival);
         self.queues[queue.0 as usize].last_arrival = arrive_at;
-        Ok(self.enqueue_instance(queue, desc, tag, arrive_at))
+        let name = KernelName::Table {
+            table: table.0,
+            index: index as u32,
+        };
+        Ok(self.enqueue_instance(queue, shape, name, tag, arrive_at))
     }
 
     /// [`Gpu::launch_graph`] addressing the group as `table[range]`, with
@@ -951,8 +1004,12 @@ impl Gpu {
             .max(self.queues[queue.0 as usize].last_arrival);
         self.queues[queue.0 as usize].last_arrival = arrive_at;
         for index in range {
-            let desc = self.tables[table.0 as usize][index].clone();
-            self.enqueue_instance(queue, desc, tag_for(index), arrive_at);
+            let shape = KernelShape::of(&self.tables[table.0 as usize][index]);
+            let name = KernelName::Table {
+                table: table.0,
+                index: index as u32,
+            };
+            self.enqueue_instance(queue, shape, name, tag_for(index), arrive_at);
         }
         Ok(())
     }
@@ -1013,7 +1070,13 @@ impl Gpu {
 
     /// The name of the launched kernel.
     pub fn kernel_name(&self, h: KernelHandle) -> &str {
-        self.resolve(h).map_or("<recycled>", |i| &i.desc.name)
+        match self.resolve(h).map(|i| &i.name) {
+            None => "<recycled>",
+            Some(KernelName::Owned(name)) => name,
+            Some(&KernelName::Table { table, index }) => {
+                &self.tables[table as usize][index as usize].name
+            }
+        }
     }
 
     /// Capacity currently devoted to instance bookkeeping (slots in use or
@@ -1104,7 +1167,7 @@ impl Gpu {
                 // set is unchanged: every rate would recompute to its
                 // current value, so the reallocation is skipped entirely.
                 if let Some(started) = self.try_start_head(q) {
-                    let compute = self.instances[started].desc.kind.is_compute();
+                    let compute = self.instances[started].shape.kind.is_compute();
                     self.reallocate_scoped(compute, !compute);
                 }
                 None
@@ -1189,57 +1252,20 @@ impl Gpu {
         let mut casualties = 0u32;
         for slot in 0..self.instances.len() {
             let inst = &self.instances[slot];
-            if matches!(inst.state, InstState::Done | InstState::Failed) {
+            if matches!(inst.state, InstState::Done | InstState::Failed)
+                || crate::sim::decode_tag(inst.tag).0 as u32 != app
+            {
                 continue;
             }
-            if crate::sim::decode_tag(inst.tag).0 as u32 != app {
-                continue;
+            let (failed, was_head) = self.kill(slot);
+            if was_head {
+                touched_queues.push(failed.queue.0 as usize);
             }
-            let state = inst.state;
-            let q = inst.queue.0 as usize;
-            let inst = &mut self.instances[slot];
-            inst.state = InstState::Failed;
-            inst.rate = 0.0;
-            inst.alloc_sms = 0.0;
-            inst.finished_at = None;
-            let generation = inst.generation;
-            match state {
-                InstState::InFlight => {
-                    // The pending Arrive event finds the slot Failed and
-                    // is dropped there.
-                }
-                InstState::Queued => {
-                    self.queues[q].waiting.retain(|&s| s != slot);
-                }
-                InstState::Running => {
-                    if self.queues[q].running == Some(slot) {
-                        self.queues[q].running = None;
-                        touched_queues.push(q);
-                    }
-                }
-                InstState::Done | InstState::Failed => unreachable!(),
-            }
-            self.live_instances -= 1;
-            let failed = FailedKernel {
-                handle: Self::handle_for(slot, generation),
-                queue: QueueId(q as u32),
-                tag: self.instances[slot].tag,
-            };
             if let Some(f) = &mut self.fault {
                 f.failed.push(failed);
                 f.counters.kernels_failed += 1;
             }
             casualties += 1;
-            if self.trace.is_some() {
-                let seq = self.instances[slot].trace_seq;
-                if seq != 0 {
-                    self.trace_emit(TraceEvent::KernelFailed {
-                        at: self.now,
-                        seq,
-                        queue: q as u32,
-                    });
-                }
-            }
         }
         if let Some(f) = &mut self.fault {
             f.counters.crashes += 1;
@@ -1258,6 +1284,48 @@ impl Gpu {
         self.reallocate_scoped(true, true);
     }
 
+    /// Kills one live instance: it moves to [`InstState::Failed`], leaves
+    /// its queue, and emits `KernelFailed`. Returns the casualty and
+    /// whether it was its queue's running head. A killed in-flight launch
+    /// keeps its pending `Arrive` event, which finds the slot `Failed` and
+    /// is dropped there.
+    fn kill(&mut self, slot: usize) -> (FailedKernel, bool) {
+        let inst = &mut self.instances[slot];
+        let state = inst.state;
+        inst.state = InstState::Failed;
+        inst.rate = 0.0;
+        inst.alloc_sms = 0.0;
+        inst.finished_at = None;
+        let seq = inst.trace_seq;
+        let failed = FailedKernel {
+            handle: Self::handle_for(slot, inst.generation),
+            queue: inst.queue,
+            tag: inst.tag,
+        };
+        let q = failed.queue.0 as usize;
+        let mut was_head = false;
+        match state {
+            InstState::InFlight => {}
+            InstState::Queued => self.queues[q].waiting.retain(|&s| s != slot),
+            InstState::Running => {
+                if self.queues[q].running == Some(slot) {
+                    self.queues[q].running = None;
+                    was_head = true;
+                }
+            }
+            InstState::Done | InstState::Failed => unreachable!("only live kernels are killed"),
+        }
+        self.live_instances -= 1;
+        if self.trace.is_some() && seq != 0 {
+            self.trace_emit(TraceEvent::KernelFailed {
+                at: self.now,
+                seq,
+                queue: q as u32,
+            });
+        }
+        (failed, was_head)
+    }
+
     /// Quiesces the device at the current instant and exports its pending
     /// work as a portable checkpoint: every in-flight, queued, and running
     /// kernel of every tenant is abandoned (reported only through the
@@ -1270,51 +1338,13 @@ impl Gpu {
     /// (`BlessDriver::export_checkpoint`). Call it after advancing the
     /// engine to the fault barrier (e.g. via [`Gpu::advance_until`]).
     pub fn drain_snapshot(&mut self) -> DeviceCheckpoint {
-        let mut abandoned = Vec::new();
-        for slot in 0..self.instances.len() {
-            let inst = &self.instances[slot];
-            if matches!(inst.state, InstState::Done | InstState::Failed) {
-                continue;
-            }
-            let state = inst.state;
-            let q = inst.queue.0 as usize;
-            let inst = &mut self.instances[slot];
-            inst.state = InstState::Failed;
-            inst.rate = 0.0;
-            inst.alloc_sms = 0.0;
-            inst.finished_at = None;
-            let generation = inst.generation;
-            match state {
-                InstState::InFlight => {
-                    // The pending Arrive event is dropped with the queue.
-                }
-                InstState::Queued => {
-                    self.queues[q].waiting.retain(|&s| s != slot);
-                }
-                InstState::Running => {
-                    if self.queues[q].running == Some(slot) {
-                        self.queues[q].running = None;
-                    }
-                }
-                InstState::Done | InstState::Failed => unreachable!(),
-            }
-            self.live_instances -= 1;
-            if self.trace.is_some() {
-                let seq = self.instances[slot].trace_seq;
-                if seq != 0 {
-                    self.trace_emit(TraceEvent::KernelFailed {
-                        at: self.now,
-                        seq,
-                        queue: q as u32,
-                    });
-                }
-            }
-            abandoned.push(FailedKernel {
-                handle: Self::handle_for(slot, generation),
-                queue: QueueId(q as u32),
-                tag: self.instances[slot].tag,
-            });
-        }
+        // Recycled slots are reused LIFO, so walk live kernels by launch
+        // sequence rather than by slot index.
+        let mut live: Vec<usize> = (0..self.instances.len())
+            .filter(|&s| !matches!(self.instances[s].state, InstState::Done | InstState::Failed))
+            .collect();
+        live.sort_unstable_by_key(|&s| self.instances[s].launch_seq);
+        let abandoned = live.into_iter().map(|slot| self.kill(slot).0).collect();
         self.events.clear();
         DeviceCheckpoint {
             at: self.now,
@@ -1373,7 +1403,7 @@ impl Gpu {
         inst.rate = 0.0;
         inst.alloc_sms = 0.0;
         inst.finished_at = Some(self.now);
-        let finished_compute = inst.desc.kind.is_compute();
+        let finished_compute = inst.shape.kind.is_compute();
         let q = inst.queue.0 as usize;
         let seq = inst.trace_seq;
         if self.trace.is_some() && seq != 0 {
@@ -1390,7 +1420,7 @@ impl Gpu {
         // Compute allocation depends only on the running compute set, DMA
         // rates only on the per-direction memcpy counts: recompute just the
         // side(s) this transition touched.
-        let started_compute = started.map(|s| self.instances[s].desc.kind.is_compute());
+        let started_compute = started.map(|s| self.instances[s].shape.kind.is_compute());
         let compute_dirty = finished_compute || started_compute == Some(true);
         let dma_dirty = !finished_compute || started_compute == Some(false);
         self.reallocate_scoped(compute_dirty, dma_dirty);
@@ -1439,7 +1469,7 @@ impl Gpu {
                     inst.alloc_sms,
                     inst.tag,
                     inst.queue,
-                    inst.desc.kind.is_compute(),
+                    inst.shape.kind.is_compute(),
                 )
             };
             if rate > 0.0 {
@@ -1511,7 +1541,7 @@ impl Gpu {
         d2h.clear();
         for q in &self.queues {
             if let Some(slot) = q.running {
-                match self.instances[slot].desc.kind {
+                match self.instances[slot].shape.kind {
                     KernelKind::Compute { .. } => {
                         if do_compute {
                             compute.push(slot);
@@ -1555,7 +1585,7 @@ impl Gpu {
                         KernelDemand {
                             id: slot,
                             ctx_group: self.queues[inst.queue.0 as usize].ctx.0 as usize,
-                            kernel_cap: inst.desc.max_sms as f64,
+                            kernel_cap: inst.shape.max_sms as f64,
                         }
                     }));
                     allocate_sms_into(&mut alloc, &self.pool_capacity, &groups, &demands);
@@ -1577,17 +1607,18 @@ impl Gpu {
                         .iter()
                         .zip(&alloc)
                         .map(|(&slot, &a)| {
-                            self.instances[slot].desc.mem_intensity * (a / self.spec.num_sms as f64)
+                            self.instances[slot].shape.mem_intensity
+                                * (a / self.spec.num_sms as f64)
                         })
                         .sum();
 
                     for (i, &slot) in compute.iter().enumerate() {
                         let a = alloc[i];
                         let inst = &self.instances[slot];
-                        let own = inst.desc.mem_intensity * (a / self.spec.num_sms as f64);
+                        let own = inst.shape.mem_intensity * (a / self.spec.num_sms as f64);
                         let pressure = (total_traffic - own).max(0.0);
                         let sensitivity = self.spec.interference_base
-                            + (1.0 - self.spec.interference_base) * inst.desc.mem_intensity;
+                            + (1.0 - self.spec.interference_base) * inst.shape.mem_intensity;
                         let slowdown = (1.0
                             + self.spec.interference_alpha * pressure * sensitivity)
                             .min(self.spec.interference_cap);
@@ -1599,7 +1630,7 @@ impl Gpu {
                     let mut traffic = [0.0f64; NUM_CHANNELS];
                     for (&slot, &a) in compute.iter().zip(&alloc) {
                         let share = a / self.spec.num_sms as f64;
-                        let d = &self.instances[slot].desc.demand.0;
+                        let d = &self.instances[slot].shape.demand.0;
                         for (t, dv) in traffic.iter_mut().zip(d) {
                             *t += dv * share;
                         }
@@ -1614,7 +1645,7 @@ impl Gpu {
                         let a = alloc[i];
                         let share = a / self.spec.num_sms as f64;
                         let slowdown =
-                            params.slowdown(&self.instances[slot].desc.demand, share, &traffic);
+                            params.slowdown(&self.instances[slot].shape.demand, share, &traffic);
                         let new_rate = if a > 0.0 { a / slowdown } else { 0.0 };
                         self.apply_compute_rate(slot, a, new_rate);
                     }
@@ -1717,7 +1748,7 @@ impl Gpu {
             let pool = groups[ctx].pool;
             let keep = inst
                 .alloc_sms
-                .min(inst.desc.max_sms as f64)
+                .min(inst.shape.max_sms as f64)
                 .min((groups[ctx].sm_cap - ctx_used[ctx]).max(0.0))
                 .min((self.pool_capacity[pool] - pool_used[pool]).max(0.0));
             alloc[i] = keep;
@@ -1759,10 +1790,10 @@ impl Gpu {
             let headroom = (groups[ctx].sm_cap - ctx_used[ctx])
                 .min(self.pool_capacity[pool] - pool_used[pool])
                 .max(0.0);
-            let effective_demand = (inst.desc.max_sms as f64)
+            let effective_demand = (inst.shape.max_sms as f64)
                 .min(groups[ctx].sm_cap)
                 .min(self.pool_capacity[pool]);
-            let want = (inst.desc.max_sms as f64 - alloc[i]).max(0.0);
+            let want = (inst.shape.max_sms as f64 - alloc[i]).max(0.0);
             let mut grant = want.min(headroom);
             if alloc[i] == 0.0 {
                 // Wave-granular dispatch: a kernel begins only once the
@@ -2607,6 +2638,61 @@ mod tests {
         assert_eq!(gpu.kernel_name(first), "<recycled>");
         run_all(&mut gpu);
         assert!(gpu.is_device_idle());
+    }
+
+    #[test]
+    fn kernel_name_resolves_every_launch_form() {
+        let mut gpu = free_gpu();
+        let ctx = gpu.create_context(CtxKind::Default).unwrap();
+        let q = gpu.create_queue(ctx).unwrap();
+        let k = |name: &str| KernelDesc::compute(name, SimDuration::from_micros(1), 108, 0.0);
+        let table = gpu.register_kernel_table(vec![k("t0"), k("t1"), k("t2")].into());
+        let by_value = gpu.launch(q, k("v"), 0).unwrap();
+        let from_table = gpu.launch_table(q, table, 1, 1).unwrap();
+        let graph = gpu
+            .launch_graph(q, vec![(k("g0"), 2), (k("g1"), 3)])
+            .unwrap();
+        // Table graphs return no handles; pick them up from completions.
+        gpu.launch_table_graph(q, table, 0..3, |i| 10 + i as u64)
+            .unwrap();
+        let mut out = Vec::new();
+        gpu.drain_outputs_into(&mut out);
+        assert_eq!(gpu.kernel_name(by_value), "v");
+        assert_eq!(gpu.kernel_name(from_table), "t1");
+        assert_eq!(gpu.kernel_name(graph[0]), "g0");
+        assert_eq!(gpu.kernel_name(graph[1]), "g1");
+        let table_graph: Vec<&str> = out
+            .iter()
+            .filter_map(|(_, o)| match *o {
+                StepOutput::KernelDone { handle, tag, .. } if tag >= 10 => {
+                    Some(gpu.kernel_name(handle))
+                }
+                _ => None,
+            })
+            .collect();
+        assert_eq!(table_graph, ["t0", "t1", "t2"]);
+    }
+
+    #[test]
+    fn kernel_name_of_a_reused_slot_is_recycled() {
+        let mut gpu = free_gpu();
+        gpu.set_slot_recycling(true);
+        let ctx = gpu.create_context(CtxKind::Default).unwrap();
+        let q = gpu.create_queue(ctx).unwrap();
+        let k = |name: &str| KernelDesc::compute(name, SimDuration::from_micros(1), 108, 0.0);
+        let table = gpu.register_kernel_table(vec![k("t0")].into());
+        let first = gpu.launch_table(q, table, 0, 0).unwrap();
+        assert_eq!(gpu.kernel_name(first), "t0");
+        run_all(&mut gpu);
+        // The by-value launch takes over the table launch's slot.
+        let second = gpu.launch(q, k("v"), 1).unwrap();
+        assert_eq!(gpu.instance_slots(), 1);
+        assert_eq!(gpu.kernel_name(first), "<recycled>");
+        assert_eq!(gpu.kernel_name(second), "v");
+        run_all(&mut gpu);
+        let third = gpu.launch_table(q, table, 0, 2).unwrap();
+        assert_eq!(gpu.kernel_name(second), "<recycled>");
+        assert_eq!(gpu.kernel_name(third), "t0");
     }
 
     #[test]

@@ -292,3 +292,75 @@ proptest! {
         prop_assert!(buf.is_empty() && a.take_failed().is_empty());
     }
 }
+
+/// One kernel of the drain-snapshot scenario: `(queue, duration us,
+/// max_sms, mem_intensity)`.
+type Launch = (usize, u64, u32, f64);
+
+/// Runs `waves` of launches on a fresh GPU (each wave followed by an
+/// advance to the next 100 µs barrier, so completions retire slots
+/// between waves), quiesces it at `barrier_us`, and returns the
+/// checkpoint plus the device's trace stream.
+fn quiesce_after_waves(
+    recycle: bool,
+    queues: usize,
+    waves: &[Vec<Launch>],
+    barrier_us: u64,
+) -> (gpu_sim::DeviceCheckpoint, Vec<gpu_sim::TraceEvent>) {
+    let mut gpu = Gpu::new(GpuSpec::a100(), HostCosts::free());
+    gpu.set_slot_recycling(recycle);
+    let sink = gpu_sim::BufferSink::new();
+    gpu.set_trace_sink(Box::new(sink.clone()));
+    let qs: Vec<_> = (0..queues)
+        .map(|_| {
+            let ctx = gpu.create_context(CtxKind::Default).unwrap();
+            gpu.create_queue(ctx).unwrap()
+        })
+        .collect();
+    let mut out = Vec::new();
+    let mut tag = 0u64;
+    for (w, wave) in waves.iter().enumerate() {
+        for &(q, us, sms, mem) in wave {
+            let k = KernelDesc::compute("k", SimDuration::from_micros(us), sms, mem);
+            // Tags count launches, so launch order is ascending tag order.
+            gpu.launch(qs[q % queues], k, tag << 20).unwrap();
+            tag += 1;
+        }
+        gpu.advance_until(SimTime::from_micros(100 * (w as u64 + 1)), &mut out);
+    }
+    gpu.advance_until(SimTime::from_micros(barrier_us), &mut out);
+    (gpu.drain_snapshot(), sink.take())
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(48))]
+
+    /// `drain_snapshot` reports abandoned kernels in launch order whether
+    /// or not slots are recycled: a recycled and an unrecycled GPU
+    /// quiesced at the same barrier abandon the same kernels in the same
+    /// order and emit the same trace. Handles differ (recycling reuses
+    /// slot indices), so the checkpoints compare by `(queue, tag)`.
+    #[test]
+    fn prop_drain_snapshot_is_launch_ordered_under_recycling(
+        queues in 1usize..4,
+        waves in proptest::collection::vec(
+            proptest::collection::vec(
+                (0usize..4, 5u64..300, 1u32..=108, 0.0f64..1.0), 1..8),
+            1..6),
+        extra_us in 0u64..400,
+    ) {
+        let barrier = 100 * waves.len() as u64 + extra_us;
+        let (plain, plain_trace) = quiesce_after_waves(false, queues, &waves, barrier);
+        let (recycled, recycled_trace) = quiesce_after_waves(true, queues, &waves, barrier);
+        let key = |c: &gpu_sim::DeviceCheckpoint| {
+            c.abandoned.iter().map(|f| (f.queue, f.tag)).collect::<Vec<_>>()
+        };
+        prop_assert_eq!(plain.at, recycled.at);
+        prop_assert_eq!(key(&plain), key(&recycled));
+        prop_assert!(
+            recycled.abandoned.windows(2).all(|w| w[0].tag < w[1].tag),
+            "abandoned kernels must come out in launch order"
+        );
+        prop_assert_eq!(plain_trace, recycled_trace);
+    }
+}

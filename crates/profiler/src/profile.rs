@@ -119,7 +119,7 @@ impl ProfiledApp {
             d_frac,
             memory_mib: app.memory_mib,
             profile_cost,
-            kernels: app.kernels.clone().into(),
+            kernels: std::sync::Arc::clone(&app.kernels),
         }
     }
 
@@ -246,11 +246,9 @@ fn run_solo(
             .expect("context"),
     };
     let queue = gpu.create_queue(ctx).expect("queue");
-    let handles: Vec<_> = app
-        .kernels
-        .iter()
-        .enumerate()
-        .map(|(i, k)| gpu.launch(queue, k.clone(), i as u64).expect("launch"))
+    let table = gpu.register_kernel_table(std::sync::Arc::clone(&app.kernels));
+    let handles: Vec<_> = (0..app.kernels.len())
+        .map(|i| gpu.launch_table(queue, table, i, i as u64).expect("launch"))
         .collect();
     gpu.drain();
     let start = SimTime::ZERO;

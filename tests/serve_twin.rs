@@ -66,8 +66,9 @@ fn horizon() -> SimTime {
 
 /// Batch path: all arrivals handed to the simulation up front,
 /// app-major so the stable sort's tie order matches the daemon's
-/// lowest-tenant-first rule.
-fn batch_digest() -> u64 {
+/// lowest-tenant-first rule. Also returns the engine's instance slots:
+/// this GPU does not recycle, so that is every kernel it ran.
+fn batch_digest() -> (u64, usize) {
     let times = offered_times();
     let mut arrivals = Vec::new();
     for (app, ts) in times.iter().enumerate() {
@@ -81,13 +82,14 @@ fn batch_digest() -> u64 {
     let driver = BlessDriver::new(deployed(), BlessParams::default());
     let mut sim = Simulation::new(gpu, driver, arrivals);
     assert_eq!(sim.run(horizon()), RunOutcome::Completed);
-    sim.driver.log.digest()
+    (sim.driver.log.digest(), sim.gpu.instance_slots())
 }
 
 /// Daemon path: the same closed trace pushed through the SPSC rings by
 /// `workers` producer threads (streams partitioned round-robin), pumped
-/// and admitted live against the virtual clock.
-fn daemon_digest(workers: usize, capture_trace: bool) -> (u64, Vec<TraceEvent>) {
+/// and admitted live against the virtual clock. Also returns the
+/// daemon engine's instance slots.
+fn daemon_digest(workers: usize, capture_trace: bool) -> (u64, Vec<TraceEvent>, usize) {
     let gpu = Gpu::new(GpuSpec::a100(), HostCosts::paper());
     let (mut daemon, streams) = ServeDaemon::new(
         deployed(),
@@ -142,28 +144,34 @@ fn daemon_digest(workers: usize, capture_trace: bool) -> (u64, Vec<TraceEvent>) 
         assert_eq!(outcome, RunOutcome::Completed);
     });
     let digest = daemon.sim().driver.log.digest();
-    (digest, buf.take())
+    (digest, buf.take(), daemon.sim().gpu.instance_slots())
 }
 
 #[test]
 fn daemon_matches_batch_at_any_worker_count() {
-    let batch = batch_digest();
+    let (batch, kernels) = batch_digest();
     assert_eq!(
         batch, GOLDEN_SERVE_DIGEST,
         "batch-path digest drifted from the pinned golden: {batch:#018x}"
     );
     for workers in [1usize, 2, 4] {
-        let (daemon, _) = daemon_digest(workers, false);
+        let (daemon, _, slots) = daemon_digest(workers, false);
         assert_eq!(
             daemon, batch,
             "daemon digest diverged from batch at {workers} producer worker(s)"
+        );
+        // The daemon recycles instance slots: its engine holds the peak
+        // of concurrently live kernels, not every kernel it served.
+        assert!(
+            slots * 10 < kernels,
+            "daemon kept {slots} instance slots for {kernels} kernels"
         );
     }
 }
 
 #[test]
 fn daemon_trace_satisfies_ingest_invariants() {
-    let (digest, events) = daemon_digest(2, true);
+    let (digest, events, _) = daemon_digest(2, true);
     assert_eq!(digest, GOLDEN_SERVE_DIGEST);
     // Every offered request must be admitted (no limits configured) and
     // handed to the scheduler at its admission instant.

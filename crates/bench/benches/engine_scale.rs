@@ -27,10 +27,7 @@ use std::collections::BTreeMap;
 use std::time::Duration;
 
 use criterion::{criterion_group, criterion_main, Criterion};
-use gpu_sim::{
-    CtxKind, EventQueueKind, Gpu, GpuSpec, HostCosts, KernelDesc, LaneEngine, MergedOutput,
-    StepOutput,
-};
+use gpu_sim::{CtxKind, Gpu, GpuSpec, HostCosts, KernelDesc, LaneEngine, MergedOutput, StepOutput};
 use sim_core::{SimDuration, SimRng, SimTime};
 
 const QUEUES_PER_LANE: usize = 3;
@@ -117,10 +114,10 @@ fn build_mono(plan: &Plan) -> Gpu {
 }
 
 /// The same workload sharded: one lane per MIG partition.
-fn build_lanes(plan: &Plan, kind: EventQueueKind) -> LaneEngine {
+fn build_lanes(plan: &Plan) -> LaneEngine {
     let spec = GpuSpec::a100();
     let sm_count = (spec.num_sms / plan.len() as u32).max(1);
-    let mut eng = LaneEngine::homogeneous(spec, HostCosts::free(), plan.len(), kind);
+    let mut eng = LaneEngine::homogeneous(spec, HostCosts::free(), plan.len());
     for (lane, queues) in plan.iter().enumerate() {
         let gpu = eng.lane_mut(lane);
         let ctx = gpu
@@ -164,7 +161,6 @@ struct EngineRow {
     mono_ms: f64,
     lane_seq_ms: f64,
     lane_par_ms: f64,
-    wheel_seq_ms: f64,
 }
 
 impl EngineRow {
@@ -175,10 +171,8 @@ impl EngineRow {
 
 fn bench_engine(c: &mut Criterion, rows: &mut Vec<EngineRow>) {
     let lane_counts: &[usize] = if quick() { &[1, 4] } else { &[1, 2, 4] };
-    // 2560/queue is the 10× row: fleet-replay event volume, where the
-    // per-queue population is deep enough for the wheel's O(1) filing to
-    // show up in `wheel_vs_heap` (the shallow rows are heap territory —
-    // see `EventQueueKind::WHEEL_DEPTH_THRESHOLD`).
+    // 2560/queue is the 10× row: fleet-replay event volume. The 4-lane
+    // headline (`sharding_speedup_4lanes`) comes from this deepest row.
     let volumes: &[usize] = if quick() { &[32] } else { &[64, 256, 2560] };
     let samples = if quick() { 3 } else { 7 };
 
@@ -195,7 +189,7 @@ fn bench_engine(c: &mut Criterion, rows: &mut Vec<EngineRow>) {
                 let mut gpu = build_mono(&plan);
                 let mut mono_out = Vec::new();
                 gpu.drain_outputs_into(&mut mono_out);
-                let mut eng = build_lanes(&plan, EventQueueKind::FourAryHeap);
+                let mut eng = build_lanes(&plan);
                 let mut lane_out = Vec::new();
                 eng.drain_par_into(&mut lane_out);
                 assert_eq!(
@@ -208,7 +202,6 @@ fn bench_engine(c: &mut Criterion, rows: &mut Vec<EngineRow>) {
             let mono_t = RefCell::new(Vec::new());
             let seq_t = RefCell::new(Vec::new());
             let par_t = RefCell::new(Vec::new());
-            let wheel_t = RefCell::new(Vec::new());
             g.bench_function(format!("mono_l{lanes}_k{kernels}"), |b| {
                 b.iter(|| {
                     let mut gpu = build_mono(&plan);
@@ -219,7 +212,7 @@ fn bench_engine(c: &mut Criterion, rows: &mut Vec<EngineRow>) {
             });
             g.bench_function(format!("lane_seq_l{lanes}_k{kernels}"), |b| {
                 b.iter(|| {
-                    let mut eng = build_lanes(&plan, EventQueueKind::FourAryHeap);
+                    let mut eng = build_lanes(&plan);
                     let mut out = Vec::with_capacity(kernels);
                     timed(&seq_t, || eng.drain_seq_into(&mut out));
                     out.len()
@@ -227,17 +220,9 @@ fn bench_engine(c: &mut Criterion, rows: &mut Vec<EngineRow>) {
             });
             g.bench_function(format!("lane_par_l{lanes}_k{kernels}"), |b| {
                 b.iter(|| {
-                    let mut eng = build_lanes(&plan, EventQueueKind::FourAryHeap);
+                    let mut eng = build_lanes(&plan);
                     let mut out = Vec::with_capacity(kernels);
                     timed(&par_t, || eng.drain_par_into(&mut out));
-                    out.len()
-                })
-            });
-            g.bench_function(format!("lane_wheel_l{lanes}_k{kernels}"), |b| {
-                b.iter(|| {
-                    let mut eng = build_lanes(&plan, EventQueueKind::TimingWheel);
-                    let mut out = Vec::with_capacity(kernels);
-                    timed(&wheel_t, || eng.drain_seq_into(&mut out));
                     out.len()
                 })
             });
@@ -247,7 +232,6 @@ fn bench_engine(c: &mut Criterion, rows: &mut Vec<EngineRow>) {
                 mono_ms: min_ms(&mono_t),
                 lane_seq_ms: min_ms(&seq_t),
                 lane_par_ms: min_ms(&par_t),
-                wheel_seq_ms: min_ms(&wheel_t),
             });
         }
     }
@@ -300,18 +284,16 @@ fn write_json(rows: &[EngineRow]) {
         };
         out.push_str(&format!(
             "    {{\"lanes\": {}, \"queues\": {}, \"kernels\": {}, \"mono_ms\": {:.3}, \
-             \"lane_seq_ms\": {:.3}, \"lane_par_ms\": {:.3}, \"wheel_seq_ms\": {:.3}, \
-             \"sharding_speedup\": {:.2}, \"par_speedup\": {}, \"wheel_vs_heap\": {:.2}}}{}\n",
+             \"lane_seq_ms\": {:.3}, \"lane_par_ms\": {:.3}, \"sharding_speedup\": {:.2}, \
+             \"par_speedup\": {}}}{}\n",
             r.lanes,
             r.lanes * QUEUES_PER_LANE,
             r.kernels,
             r.mono_ms,
             r.lane_seq_ms,
             r.lane_par_ms,
-            r.wheel_seq_ms,
             r.sharding_speedup(),
             par_speedup,
-            r.lane_seq_ms / r.wheel_seq_ms,
             if i + 1 < rows.len() { "," } else { "" }
         ));
     }

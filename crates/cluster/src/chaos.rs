@@ -67,7 +67,9 @@ use sim_core::trace::TraceEvent;
 use sim_core::{FaultPlan, FaultSpec, SimDuration, SimTime};
 use workloads::{ArrivalPattern, TenantSpec, WorkloadSet};
 
-use crate::placement::{place, CapacityIndex, Placement, PlacementError, PlacementRequest};
+use crate::placement::{
+    fleet_requests, place, CapacityIndex, Placement, PlacementError, PlacementRequest,
+};
 
 /// The class of device fault that interrupted a tenant.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -250,6 +252,8 @@ pub struct ChaosOptions {
     /// every runtime before its first arrival (`None` = each tenant starts
     /// at [`ShareMode::SemiSpatial`], like a fresh driver). Lets drills
     /// start tenants mid-ladder deterministically.
+    /// A list whose length differs from the tenant count is rejected with
+    /// [`PlacementError::InitialModesMismatch`] before placement.
     pub initial_modes: Option<Vec<ShareMode>>,
     /// Watchdog-driven planned evacuation of pinned tenants (`None`
     /// disables the periodic check).
@@ -383,15 +387,7 @@ pub fn run_chaos<P: Into<SharedProfile>>(
     faults: &FaultSpec,
     opts: &ChaosOptions,
 ) -> Result<ChaosRun, PlacementError> {
-    if ws.tenants.is_empty() {
-        return Err(PlacementError::EmptyWorkload);
-    }
-    if ws.len() != profiles.len() {
-        return Err(PlacementError::ProfileCountMismatch {
-            profiles: profiles.len(),
-            tenants: ws.len(),
-        });
-    }
+    let requests = fleet_requests(ws, profiles, opts.initial_modes.as_deref())?;
     for t in &ws.tenants {
         assert!(
             !matches!(t.pattern, ArrivalPattern::ClosedLoop { .. }),
@@ -399,14 +395,6 @@ pub fn run_chaos<P: Into<SharedProfile>>(
              client state cannot be checkpointed across a migration"
         );
     }
-    let requests: Vec<PlacementRequest> = profiles
-        .into_iter()
-        .zip(&ws.tenants)
-        .map(|(p, t)| PlacementRequest {
-            profile: p.into(),
-            quota: t.quota,
-        })
-        .collect();
     let placement = place(
         &requests,
         fleet_size,
@@ -465,11 +453,6 @@ pub fn run_chaos<P: Into<SharedProfile>>(
             .collect();
         let mut driver = BlessDriver::new(apps, params.clone());
         if let Some(modes) = &opts.initial_modes {
-            assert_eq!(
-                modes.len(),
-                ws.len(),
-                "initial_modes must cover every fleet tenant"
-            );
             for (a, &t) in tenants.iter().enumerate() {
                 driver.restore_share_mode(a, modes[t], 0);
             }
@@ -1511,6 +1494,34 @@ mod tests {
             }),
             ..ChaosOptions::default()
         }
+    }
+
+    #[test]
+    fn initial_modes_mismatch_is_a_typed_error() {
+        let (spec, ws, profiles) = fixture(&[0.45, 0.45, 0.45]);
+        let opts = ChaosOptions {
+            initial_modes: Some(vec![ShareMode::Temporal; 2]),
+            ..ChaosOptions::default()
+        };
+        let err = run_chaos(
+            &ws,
+            profiles,
+            4,
+            &spec,
+            &BlessParams::default(),
+            horizon(),
+            SEED,
+            &FaultSpec::default(),
+            &opts,
+        )
+        .unwrap_err();
+        assert_eq!(
+            err,
+            PlacementError::InitialModesMismatch {
+                modes: 2,
+                tenants: 3
+            }
+        );
     }
 
     #[test]

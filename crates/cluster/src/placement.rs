@@ -22,7 +22,9 @@
 
 use bless::aggregate_demand;
 use gpu_sim::{ChannelDemand, ChannelParams, NUM_CHANNELS};
+use metrics::ShareMode;
 use profiler::{admit, AdmissionError, AdmissionPolicy, ProfiledApp, SharedProfile};
+use workloads::WorkloadSet;
 
 /// One application asking to be placed.
 ///
@@ -92,6 +94,13 @@ pub enum PlacementError {
         /// Number of tenants in the workload.
         tenants: usize,
     },
+    /// The pinned initial share modes do not align with the tenant list.
+    InitialModesMismatch {
+        /// Number of share modes supplied.
+        modes: usize,
+        /// Number of tenants in the workload.
+        tenants: usize,
+    },
     /// No alive GPU can admit an evacuated tenant (migration path): every
     /// surviving device fails the quota-capacity or admission check.
     NoCapacity {
@@ -125,6 +134,12 @@ impl std::fmt::Display for PlacementError {
             PlacementError::ProfileCountMismatch { profiles, tenants } => {
                 write!(f, "{profiles} profiles supplied for {tenants} tenants")
             }
+            PlacementError::InitialModesMismatch { modes, tenants } => {
+                write!(
+                    f,
+                    "{modes} initial share modes supplied for {tenants} tenants"
+                )
+            }
             PlacementError::NoCapacity { app } => {
                 write!(f, "no alive GPU can admit evacuated tenant {app}")
             }
@@ -136,6 +151,40 @@ impl std::fmt::Display for PlacementError {
 }
 
 impl std::error::Error for PlacementError {}
+
+/// The prelude shared by the fleet entry points: checks that `profiles`
+/// and the pinned `initial_modes` (if any) have one entry per tenant of
+/// `ws`, then pairs each profile with its tenant's quota. Runs before
+/// placement, so a malformed input never reaches a device.
+pub(crate) fn fleet_requests<P: Into<SharedProfile>>(
+    ws: &WorkloadSet,
+    profiles: Vec<P>,
+    initial_modes: Option<&[ShareMode]>,
+) -> Result<Vec<PlacementRequest>, PlacementError> {
+    if ws.tenants.is_empty() {
+        return Err(PlacementError::EmptyWorkload);
+    }
+    if ws.len() != profiles.len() {
+        return Err(PlacementError::ProfileCountMismatch {
+            profiles: profiles.len(),
+            tenants: ws.len(),
+        });
+    }
+    if let Some(modes) = initial_modes.filter(|m| m.len() != ws.len()) {
+        return Err(PlacementError::InitialModesMismatch {
+            modes: modes.len(),
+            tenants: ws.len(),
+        });
+    }
+    Ok(profiles
+        .into_iter()
+        .zip(&ws.tenants)
+        .map(|(p, t)| PlacementRequest {
+            profile: p.into(),
+            quota: t.quota,
+        })
+        .collect())
+}
 
 /// The quota-capacity acceptance threshold: a GPU admits a request only
 /// while its provisioned quota stays within `1 + ε` (the ε absorbs float

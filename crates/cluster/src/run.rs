@@ -30,7 +30,9 @@ use sim_core::trace::TraceEvent;
 use sim_core::SimTime;
 use workloads::{ArrivalPattern, TenantSpec, WorkloadSet};
 
-use crate::placement::{place_with, Placement, PlacementError, PlacementPolicy, PlacementRequest};
+use crate::placement::{
+    fleet_requests, place_with, Placement, PlacementError, PlacementPolicy, PlacementRequest,
+};
 
 /// Result of one GPU's run within the cluster.
 #[derive(Debug)]
@@ -112,6 +114,8 @@ pub struct ClusterOptions {
     /// into each GPU's driver before the first arrival (the same
     /// mechanism a migration uses to carry ladder state). `None` deploys
     /// everyone semi-spatial as usual.
+    /// A list whose length differs from the tenant count is rejected with
+    /// [`PlacementError::InitialModesMismatch`] before placement.
     pub initial_modes: Option<Vec<ShareMode>>,
     /// How tenants are matched to GPUs during placement
     /// ([`PlacementPolicy::FirstFit`] by default;
@@ -194,30 +198,7 @@ pub fn run_cluster_opts<P: Into<SharedProfile>>(
     horizon: SimTime,
     opts: &ClusterOptions,
 ) -> Result<ClusterRun, PlacementError> {
-    if ws.tenants.is_empty() {
-        return Err(PlacementError::EmptyWorkload);
-    }
-    if ws.len() != profiles.len() {
-        return Err(PlacementError::ProfileCountMismatch {
-            profiles: profiles.len(),
-            tenants: ws.len(),
-        });
-    }
-    if let Some(modes) = &opts.initial_modes {
-        assert_eq!(
-            modes.len(),
-            ws.len(),
-            "initial_modes needs one entry per tenant"
-        );
-    }
-    let requests: Vec<PlacementRequest> = profiles
-        .into_iter()
-        .zip(&ws.tenants)
-        .map(|(p, t)| PlacementRequest {
-            profile: p.into(),
-            quota: t.quota,
-        })
-        .collect();
+    let requests = fleet_requests(ws, profiles, opts.initial_modes.as_deref())?;
     let placement = place_with(
         &requests,
         fleet_size,
@@ -540,30 +521,7 @@ pub fn run_cluster_stream<P: Into<SharedProfile>>(
         !opts.capture_trace,
         "run_cluster_stream cannot capture traces; use run_cluster_opts"
     );
-    if ws.tenants.is_empty() {
-        return Err(PlacementError::EmptyWorkload);
-    }
-    if ws.len() != profiles.len() {
-        return Err(PlacementError::ProfileCountMismatch {
-            profiles: profiles.len(),
-            tenants: ws.len(),
-        });
-    }
-    if let Some(modes) = &opts.initial_modes {
-        assert_eq!(
-            modes.len(),
-            ws.len(),
-            "initial_modes needs one entry per tenant"
-        );
-    }
-    let requests: Vec<PlacementRequest> = profiles
-        .into_iter()
-        .zip(&ws.tenants)
-        .map(|(p, t)| PlacementRequest {
-            profile: p.into(),
-            quota: t.quota,
-        })
-        .collect();
+    let requests = fleet_requests(ws, profiles, opts.initial_modes.as_deref())?;
     let placement = place_with(
         &requests,
         fleet_size,
@@ -974,6 +932,43 @@ mod tests {
                 tenants: 4
             }
         );
+    }
+
+    /// Options pinning one share mode too few for the four-tenant fixture.
+    fn short_modes() -> ClusterOptions {
+        ClusterOptions {
+            initial_modes: Some(vec![ShareMode::StrictSpatial; 3]),
+            ..ClusterOptions::default()
+        }
+    }
+
+    const MODES_MISMATCH: PlacementError = PlacementError::InitialModesMismatch {
+        modes: 3,
+        tenants: 4,
+    };
+
+    #[test]
+    fn initial_modes_mismatch_is_a_typed_error() {
+        let (spec, ws, profiles) = four_tenant_fixture();
+        let params = BlessParams::default();
+        let horizon = SimTime::from_secs(10);
+        let err = run_cluster_opts(&ws, profiles, 4, &spec, &params, horizon, &short_modes())
+            .unwrap_err();
+        assert_eq!(err, MODES_MISMATCH);
+        assert_eq!(
+            err.to_string(),
+            "3 initial share modes supplied for 4 tenants"
+        );
+    }
+
+    #[test]
+    fn streaming_initial_modes_mismatch_is_a_typed_error() {
+        let (spec, ws, profiles) = four_tenant_fixture();
+        let params = BlessParams::default();
+        let horizon = SimTime::from_secs(10);
+        let err = run_cluster_stream(&ws, profiles, 4, &spec, &params, horizon, &short_modes())
+            .unwrap_err();
+        assert_eq!(err, MODES_MISMATCH);
     }
 
     fn strict_pair_fixture() -> (GpuSpec, WorkloadSet, Vec<SharedProfile>) {

@@ -56,7 +56,7 @@
 //! [`Gpu::launch_table_delayed`].
 
 use sim_core::trace::{BufferSink, TraceEvent};
-use sim_core::{EventQueueKind, SimTime};
+use sim_core::SimTime;
 
 use crate::engine::{DeviceCheckpoint, Gpu, StepOutput};
 use crate::spec::{GpuSpec, HostCosts};
@@ -121,18 +121,12 @@ impl LaneEngine {
         }
     }
 
-    /// Builds `lanes` identical empty lanes of `spec`/`costs`, all using
-    /// the given event-queue backend. Configure each lane's contexts and
-    /// queues through [`LaneEngine::lane_mut`].
-    pub fn homogeneous(
-        spec: GpuSpec,
-        costs: HostCosts,
-        lanes: usize,
-        queue_kind: EventQueueKind,
-    ) -> Self {
+    /// Builds `lanes` identical empty lanes of `spec`/`costs`. Configure
+    /// each lane's contexts and queues through [`LaneEngine::lane_mut`].
+    pub fn homogeneous(spec: GpuSpec, costs: HostCosts, lanes: usize) -> Self {
         Self::from_gpus(
             (0..lanes)
-                .map(|_| Gpu::with_queue_kind(spec.clone(), costs.clone(), queue_kind))
+                .map(|_| Gpu::new(spec.clone(), costs.clone()))
                 .collect(),
         )
     }
@@ -420,12 +414,7 @@ mod tests {
     }
 
     fn two_lane_engine_traced(trace: bool) -> LaneEngine {
-        let mut eng = LaneEngine::homogeneous(
-            GpuSpec::a100_with_sms(54),
-            HostCosts::free(),
-            2,
-            EventQueueKind::FourAryHeap,
-        );
+        let mut eng = LaneEngine::homogeneous(GpuSpec::a100_with_sms(54), HostCosts::free(), 2);
         if trace {
             // Before any launch: untraced launches emit no later events.
             eng.enable_tracing();
@@ -464,12 +453,7 @@ mod tests {
     fn merge_breaks_time_ties_by_lane() {
         // Identical lanes: every completion time ties across lanes and
         // must come out lane 0 first.
-        let mut eng = LaneEngine::homogeneous(
-            GpuSpec::a100_with_sms(54),
-            HostCosts::free(),
-            3,
-            EventQueueKind::FourAryHeap,
-        );
+        let mut eng = LaneEngine::homogeneous(GpuSpec::a100_with_sms(54), HostCosts::free(), 3);
         for lane in 0..3 {
             let gpu = eng.lane_mut(lane);
             let ctx = gpu.create_context(CtxKind::Default).unwrap();

@@ -12,7 +12,7 @@
 //! Every callback hands the driver `&mut Gpu`, through which it launches
 //! kernels, charges host time, and manages contexts.
 
-use sim_core::{DynEventQueue, EventQueueKind, SimTime};
+use sim_core::{EventQueue, SimTime};
 
 use crate::engine::{FailedKernel, Gpu, KernelHandle, QueueId, StepOutput};
 
@@ -116,7 +116,7 @@ pub struct Simulation<D: HostDriver> {
     pub gpu: Gpu,
     /// The driver under test.
     pub driver: D,
-    arrivals: DynEventQueue<RequestArrival>,
+    arrivals: EventQueue<RequestArrival>,
     pending_count: usize,
     notice_handler: Option<NoticeHandler>,
     max_events: u64,
@@ -131,15 +131,10 @@ pub struct Simulation<D: HostDriver> {
 impl<D: HostDriver> Simulation<D> {
     /// Creates a simulation over the given arrivals (sorted by time
     /// internally; ties keep their input order).
-    ///
-    /// The arrival queue's backend auto-selects by schedule depth
-    /// ([`EventQueueKind::for_depth`]): short schedules use the four-ary
-    /// heap, long fleet replays the timing wheel. Both pop in identical
-    /// order, so the choice never changes simulation output.
     pub fn new(gpu: Gpu, driver: D, arrivals: Vec<RequestArrival>) -> Self {
         let mut sorted = arrivals;
         sorted.sort_by_key(|a| a.at);
-        let mut q = DynEventQueue::new(EventQueueKind::for_depth(sorted.len()));
+        let mut q = EventQueue::new();
         for a in sorted {
             q.push(a.at, a);
         }
@@ -155,11 +150,6 @@ impl<D: HostDriver> Simulation<D> {
             notice_buf: Vec::new(),
             failed_buf: Vec::new(),
         }
-    }
-
-    /// The backend the arrival queue auto-selected at construction.
-    pub fn arrival_queue_kind(&self) -> EventQueueKind {
-        self.arrivals.kind()
     }
 
     /// Overrides the runaway-protection event budget.

@@ -114,6 +114,49 @@ const GOLDEN_UNBOUND: u64 = 0x85678e3f84712317;
 const GOLDEN_TEMPORAL: u64 = 0x9e8c7240e6bc9143;
 const GOLDEN_REEF: u64 = 0x01c8aa234f32301b;
 
+/// A deep open-loop schedule: two tenants with 2500 periodic arrivals
+/// each put all 5000 requests in the simulation's arrival queue before
+/// the first one fires. The digest pins the request log of that deep
+/// queue, so any change to how it orders pops fails here.
+#[test]
+fn deep_arrival_schedule_matches_golden_digest() {
+    use dnn_models::gen::CALIBRATION_PCIE;
+    use workloads::{ArrivalPattern, TenantSpec};
+
+    let tenant = |kind, quota, offset_us| {
+        let model = cache::model(kind, Phase::Inference);
+        // Each tenant offers about a third of its solo throughput, so
+        // the pair keeps the GPU busy without an unbounded backlog.
+        let period = model.solo_duration(CALIBRATION_PCIE).mul_f64(3.0);
+        let pattern = ArrivalPattern::Periodic {
+            period,
+            count: 2500,
+            offset: SimDuration::from_micros(offset_us),
+        };
+        TenantSpec::new(model, quota, pattern)
+    };
+    let ws = WorkloadSet::new(
+        vec![
+            tenant(ModelKind::ResNet50, 0.5, 0),
+            tenant(ModelKind::Vgg11, 0.5, 250),
+        ],
+        42,
+    );
+    assert_eq!(ws.initial_arrivals().len(), 5000);
+
+    let sys = System::Bless(bless::BlessParams::default());
+    let r = harness::runner::run_system(&sys, &ws, &GpuSpec::a100(), SimTime::from_secs(600), None);
+    assert_eq!(r.outcome, gpu_sim::RunOutcome::Completed);
+    assert_eq!(r.log.completed_count(0) + r.log.completed_count(1), 5000);
+    let got = digest(&log_pairs(&r.log));
+    assert_eq!(
+        got, GOLDEN_DEEP_ARRIVALS,
+        "deep arrival schedule diverged from the golden request log (digest {got:#018x})"
+    );
+}
+
+const GOLDEN_DEEP_ARRIVALS: u64 = 0x68afc91bb935349d;
+
 /// The fault matrix exercised by the fault-determinism tests: every
 /// injector enabled at once.
 fn fault_spec() -> FaultSpec {

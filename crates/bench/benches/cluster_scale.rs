@@ -12,7 +12,7 @@
 use std::cell::RefCell;
 use std::time::Duration;
 
-use bless::{determine_config, determine_config_exhaustive, BlessParams, DeployedApp};
+use bless::{determine_config, BlessParams, DeployedApp};
 use cluster::{run_chaos, run_cluster_opts, ChaosOptions, ClusterOptions};
 use criterion::{criterion_group, criterion_main, Criterion};
 use dnn_models::{ModelKind, Phase};
@@ -20,7 +20,7 @@ use gpu_sim::GpuSpec;
 use harness::cache;
 use harness::experiments::fleet10k;
 use harness::squadlab::slice_squad;
-use profiler::SharedProfile;
+use profiler::{SharedProfile, PARTITIONS};
 use sim_core::{FaultSpec, SimDuration, SimTime};
 use workloads::{ArrivalPattern, TenantSpec, WorkloadSet};
 
@@ -196,7 +196,6 @@ struct DeterminerRow {
     space: usize,
     evaluated: usize,
     pruned: usize,
-    exhaustive_ms: f64,
     pruned_ms: f64,
 }
 
@@ -394,31 +393,28 @@ fn bench_determiner(c: &mut Criterion, rows: &mut Vec<DeterminerRow>) {
             })
             .collect();
         let squad = slice_squad(&apps, &vec![1; k], &vec![per_app; k]);
-        let fast = determine_config(&squad, &apps, spec.num_sms);
-        let slow = determine_config_exhaustive(&squad, &apps, spec.num_sms);
-        assert_eq!(
-            fast.config, slow.config,
-            "pruning must not change the argmin"
-        );
-        let ex_t = RefCell::new(Vec::new());
+        let model = &spec.channel_model;
+        let fast = determine_config(&squad, &apps, spec.num_sms, model);
+        // NSP plus every composition of the partitions into k parts:
+        // 1 + C(N−1, k−1). The pruned search must account for all of them
+        // (its argmin equals the uncut search's; the core unit test
+        // `pruned_search_matches_exhaustive` checks that on these inputs).
+        let space = 1 + (1..k).fold(1, |c, i| c * (PARTITIONS - i) / i);
+        assert_eq!(fast.evaluated + fast.pruned, space, "candidate accounting");
         let pr_t = RefCell::new(Vec::new());
-        g.bench_function(format!("exhaustive_{k}apps"), |b| {
+        g.bench_function(format!("pruned_{k}apps"), |b| {
             b.iter(|| {
-                timed(&ex_t, || {
-                    determine_config_exhaustive(&squad, &apps, spec.num_sms)
+                timed(&pr_t, || {
+                    determine_config(&squad, &apps, spec.num_sms, model)
                 })
             })
-        });
-        g.bench_function(format!("pruned_{k}apps"), |b| {
-            b.iter(|| timed(&pr_t, || determine_config(&squad, &apps, spec.num_sms)))
         });
         rows.push(DeterminerRow {
             apps: k,
             kernels_per_app: per_app,
-            space: slow.evaluated,
+            space,
             evaluated: fast.evaluated,
             pruned: fast.pruned,
-            exhaustive_ms: min_ms(&ex_t),
             pruned_ms: min_ms(&pr_t),
         });
     }
@@ -534,13 +530,12 @@ fn write_json(fleet: &[FleetRow], det: &[DeterminerRow], chaos: &[ChaosRow], f10
     for (i, r) in det.iter().enumerate() {
         out.push_str(&format!(
             "    {{\"apps\": {}, \"kernels_per_app\": {}, \"space\": {}, \"evaluated\": {}, \
-             \"pruned\": {}, \"exhaustive_ms\": {:.4}, \"pruned_ms\": {:.4}}}{}\n",
+             \"pruned\": {}, \"pruned_ms\": {:.4}}}{}\n",
             r.apps,
             r.kernels_per_app,
             r.space,
             r.evaluated,
             r.pruned,
-            r.exhaustive_ms,
             r.pruned_ms,
             if i + 1 < det.len() { "," } else { "" }
         ));

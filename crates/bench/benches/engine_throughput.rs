@@ -6,7 +6,7 @@
 //! kernel is at least an Arrive and a Complete event).
 
 use bench::warm_profiles;
-use bless::{determine_config, determine_config_memo, ConfigMemo, DeployedApp};
+use bless::{determine_config, determine_config_memo_model, ConfigMemo, DeployedApp};
 use criterion::{black_box, criterion_group, criterion_main, Criterion};
 use dnn_models::{ModelKind, Phase};
 use gpu_sim::{CtxKind, Gpu, GpuSpec, HostCosts, KernelDesc};
@@ -96,12 +96,13 @@ fn bench(c: &mut Criterion) {
     let squad = slice_squad(&apps, &[1, 1], &[25, 25]);
     let mut g = c.benchmark_group("determiner_throughput");
     g.bench_function("determine_config_plain", |b| {
-        b.iter(|| determine_config(black_box(&squad), &apps, 108))
+        b.iter(|| determine_config(black_box(&squad), &apps, 108, &spec.channel_model))
     });
     g.bench_function("determine_config_memoized", |b| {
         let mut memo = ConfigMemo::new();
-        determine_config_memo(&mut memo, &squad, &apps, 108);
-        b.iter(|| determine_config_memo(&mut memo, black_box(&squad), &apps, 108))
+        let model = &spec.channel_model;
+        determine_config_memo_model(&mut memo, &squad, &apps, 108, model);
+        b.iter(|| determine_config_memo_model(&mut memo, black_box(&squad), &apps, 108, model))
     });
     g.finish();
 }

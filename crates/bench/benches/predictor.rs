@@ -26,7 +26,14 @@ fn bench(c: &mut Criterion) {
     let squad = slice_squad(&apps, &[1, 1], &[25, 25]);
     let mut g = c.benchmark_group("predictor");
     g.bench_function("determine_config_2apps", |b| {
-        b.iter(|| determine_config(std::hint::black_box(&squad), &apps, 108))
+        b.iter(|| {
+            determine_config(
+                std::hint::black_box(&squad),
+                &apps,
+                108,
+                &spec.channel_model,
+            )
+        })
     });
     g.bench_function("accuracy_sample", |b| {
         b.iter(|| harness::experiments::predictor::measure(5, 2))

@@ -13,6 +13,11 @@
 //!
 //! With `N = 18` and two active requests that is `17 + 1 = 18` candidates,
 //! matching the paper.
+//!
+//! Both estimators and the search take the spec's [`ChannelModel`]: the
+//! scalar model scores the paper's equations as written, and the
+//! per-resource model (DESIGN.md §5j) inflates them by per-channel
+//! contention.
 
 use sim_core::SimDuration;
 
@@ -61,25 +66,25 @@ impl ExecConfig {
 
 /// Eq. 1 — the interference-free predictor for strictly partitioned
 /// squads: the squad lasts as long as the slowest request's stacked-up
-/// kernel durations at its partition.
+/// kernel durations at its partition. Under
+/// [`ChannelModel::PerResource`] each stack is first inflated by the
+/// contention its entry suffers on the shared L2, DRAM-BW and PCIe
+/// channels; SM partitions isolate the compute channel.
 pub fn predict_interference_free(
     squad: &Squad,
     apps: &[DeployedApp],
     partitions: &[u32],
+    model: &ChannelModel,
 ) -> SimDuration {
     assert_eq!(
         squad.entries.len(),
         partitions.len(),
         "one partition count per squad entry"
     );
-    let mut worst = SimDuration::ZERO;
-    for (entry, &parts) in squad.entries.iter().zip(partitions) {
-        assert!(parts >= 1 && (parts as usize) <= PARTITIONS);
-        let part_idx = parts as usize - 1;
-        let total = stacked_duration(&apps[entry.app], part_idx, &entry.kernels);
-        worst = worst.max(total);
-    }
-    worst
+    assert!(partitions
+        .iter()
+        .all(|&p| p >= 1 && (p as usize) <= PARTITIONS));
+    SpCost::new(squad, apps, model).eval(partitions)
 }
 
 /// The contiguous ascending range `[first, last+1)` covered by `kernels`,
@@ -106,15 +111,122 @@ fn stacked_duration(app: &DeployedApp, partition: usize, kernels: &[usize]) -> S
     }
 }
 
+/// Mean per-channel demand of one squad entry's *compute* kernels (the
+/// demand vector the entry presses on shared channels while its squad
+/// runs). Entries with no compute kernels press on nothing.
+fn entry_mean_demand(app: &DeployedApp, kernels: &[usize]) -> ChannelDemand {
+    let mut sum = [0.0f64; NUM_CHANNELS];
+    let mut n = 0u32;
+    for &k in kernels {
+        let desc = &app.profile.kernels[k];
+        if desc.kind.is_compute() {
+            for (s, d) in sum.iter_mut().zip(&desc.demand.0) {
+                *s += d;
+            }
+            n += 1;
+        }
+    }
+    if n > 0 {
+        for s in &mut sum {
+            *s /= n as f64;
+        }
+    }
+    ChannelDemand(sum)
+}
+
+/// The Eq. 1 cost of one squad's strict splits, shared by
+/// [`predict_interference_free`] and the configuration search.
+struct SpCost<'a> {
+    /// `stacked[i][p-1]`: entry `i`'s stacked duration on `p` slices.
+    stacked: Vec<[SimDuration; PARTITIONS]>,
+    /// Under [`ChannelModel::PerResource`]: the channel curves and each
+    /// entry's mean compute demand; `None` under `Scalar`.
+    channels: Option<(&'a ChannelParams, Vec<ChannelDemand>)>,
+}
+
+impl<'a> SpCost<'a> {
+    /// Tabulates every entry at every partition size, so each candidate
+    /// costs O(K). Each cell is an O(1) prefix-table range sum for the
+    /// usual contiguous kernel selections.
+    fn new(squad: &Squad, apps: &[DeployedApp], model: &'a ChannelModel) -> Self {
+        let stacked = squad
+            .entries
+            .iter()
+            .map(|e| std::array::from_fn(|p| stacked_duration(&apps[e.app], p, &e.kernels)))
+            .collect();
+        let channels = match model {
+            ChannelModel::Scalar => None,
+            ChannelModel::PerResource(params) => Some((
+                params,
+                squad
+                    .entries
+                    .iter()
+                    .map(|e| entry_mean_demand(&apps[e.app], &e.kernels))
+                    .collect(),
+            )),
+        };
+        SpCost { stacked, channels }
+    }
+
+    /// Entry `i`'s stacked duration on `parts` slices, before any channel
+    /// inflation.
+    fn stack(&self, i: usize, parts: u32) -> SimDuration {
+        self.stacked[i][parts as usize - 1]
+    }
+
+    /// The predicted duration of the split `parts`: the max over entries
+    /// of their stacks. Under `PerResource` each stack is inflated by the
+    /// entry's bottleneck slowdown against the traffic of every entry's
+    /// mean demand weighted by its GPU share. The compute channel is
+    /// zeroed: SM partitioning is exactly the mechanism that removes
+    /// compute-issue contention, which is why SP squads exist at all.
+    fn eval(&self, parts: &[u32]) -> SimDuration {
+        let Some((params, means)) = &self.channels else {
+            return parts
+                .iter()
+                .enumerate()
+                .map(|(i, &p)| self.stack(i, p))
+                .max()
+                .unwrap_or(SimDuration::ZERO);
+        };
+        let total_parts = parts.iter().sum::<u32>().max(1) as f64;
+        let mut traffic = [0.0f64; NUM_CHANNELS];
+        for (mean, &p) in means.iter().zip(parts) {
+            let share = p as f64 / total_parts;
+            for (t, d) in traffic.iter_mut().zip(&mean.0) {
+                *t += d * share;
+            }
+        }
+        traffic[Channel::Compute as usize] = 0.0;
+        let mut worst = SimDuration::ZERO;
+        for (i, &p) in parts.iter().enumerate() {
+            let slow = params.slowdown(&means[i], p as f64 / total_parts, &traffic);
+            worst = worst.max(self.stack(i, p).mul_f64(slow));
+        }
+        worst
+    }
+}
+
 /// Eq. 2 — the workload-equivalence predictor for unrestricted squads:
 /// kernels are walked breadth-first over requests; each overlap row is
 /// modelled as sequential execution where every kernel runs at the speed
 /// it would have given the row's total natural SM demand `Σ_j d_i^j`.
+///
+/// Under [`ChannelModel::PerResource`] each row also accumulates
+/// per-channel traffic from its compute kernels' demand vectors (shares
+/// from the profiled natural demand, normalized down when the row
+/// oversubscribes the GPU), and every compute kernel's row duration is
+/// inflated by its own bottleneck-channel slowdown.
 pub fn predict_workload_equivalence(
     squad: &Squad,
     apps: &[DeployedApp],
     num_sms: u32,
+    model: &ChannelModel,
 ) -> SimDuration {
+    let params = match model {
+        ChannelModel::Scalar => None,
+        ChannelModel::PerResource(p) => Some(p),
+    };
     let q = squad
         .entries
         .iter()
@@ -133,17 +245,43 @@ pub fn predict_workload_equivalence(
         // `max(1)` guards the zero-SM degenerate device (clamp panics when
         // its bounds invert).
         let demand_sms = (demand_frac * num_sms as f64).clamp(1.0, num_sms.max(1) as f64);
+        // Per-resource: the row's channel traffic. When the row wants more
+        // than the whole GPU, shares shrink proportionally (the hardware
+        // cannot grant more than 100%).
+        let row_channels = params.map(|params| {
+            let scale = if demand_frac > 1.0 {
+                1.0 / demand_frac
+            } else {
+                1.0
+            };
+            let mut traffic = [0.0f64; NUM_CHANNELS];
+            for e in &squad.entries {
+                if let Some(&k) = e.kernels.get(i) {
+                    let profile = &apps[e.app].profile;
+                    if profile.kernels[k].kind.is_compute() {
+                        let share = profile.d_frac[k] * scale;
+                        for (t, d) in traffic.iter_mut().zip(&profile.kernels[k].demand.0) {
+                            *t += d * share;
+                        }
+                    }
+                }
+            }
+            (params, scale, traffic)
+        });
         for e in &squad.entries {
             if let Some(&k) = e.kernels.get(i) {
                 let profile = &apps[e.app].profile;
-                let d = if profile.kernels[k].kind.is_compute() {
-                    profile.duration_at_sms(k, demand_sms)
-                } else {
+                total += if !profile.kernels[k].kind.is_compute() {
                     // Memory-management kernels are added at their profiled
                     // duration regardless of the SM demand.
                     profile.kernel_duration(PARTITIONS - 1, k)
+                } else if let Some((params, scale, traffic)) = &row_channels {
+                    let share = profile.d_frac[k] * scale;
+                    let slow = params.slowdown(&profile.kernels[k].demand, share, traffic);
+                    profile.duration_at_sms(k, demand_sms).mul_f64(slow)
+                } else {
+                    profile.duration_at_sms(k, demand_sms)
                 };
-                total += d;
             }
         }
     }
@@ -159,49 +297,45 @@ pub struct ConfigChoice {
     pub predicted: SimDuration,
     /// Number of candidate configurations evaluated.
     pub evaluated: usize,
-    /// Number of SP compositions skipped by the branch-and-bound cut
-    /// (0 on the exhaustive and hill-climbing paths). For any squad,
-    /// `evaluated + pruned` equals the exhaustive candidate count, and the
-    /// chosen configuration is identical to the exhaustive search's.
+    /// Number of SP compositions skipped by the branch-and-bound cut (0
+    /// under [`ChannelModel::PerResource`] and on the hill-climbing path).
+    /// For an exactly searched squad, `evaluated + pruned` equals the full
+    /// candidate count `1 + C(N−1, K−1)`, and the chosen configuration is
+    /// identical to the uncut search's.
     pub pruned: usize,
 }
 
-/// Searches the configuration space for the fastest execution (§4.4.2).
+/// Searches the configuration space for the fastest execution (§4.4.2),
+/// scoring candidates under the spec's interference `model`.
 ///
 /// For up to [`EXACT_SEARCH_MAX_APPS`] participating requests the SP space
-/// is searched exactly with a branch-and-bound cut (see
-/// [`determine_config_exhaustive`] for the uncut twin — both return the
-/// same configuration); beyond that a quota-proportional seed plus
-/// hill-climbing is used (the paper only determines optimal partitions at
-/// runtime for small squads; REEF+ cannot do this at all, §6.4).
-pub fn determine_config(squad: &Squad, apps: &[DeployedApp], num_sms: u32) -> ConfigChoice {
-    determine_config_inner(squad, apps, num_sms, true)
-}
-
-/// [`determine_config`] with the branch-and-bound cut disabled: every SP
-/// composition is evaluated. Exists as the differential twin proving the
-/// pruned search exact (`same config, same prediction, evaluated + pruned
-/// = exhaustive evaluated`), and as the baseline for the
-/// `determiner_search` benchmark.
-pub fn determine_config_exhaustive(
+/// is searched exactly; under [`ChannelModel::Scalar`] a branch-and-bound
+/// cut skips subtrees that provably cannot win. Beyond that a
+/// quota-proportional seed plus hill-climbing is used (the paper only
+/// determines optimal partitions at runtime for small squads; REEF+ cannot
+/// do this at all, §6.4). A squad with more participants than partitions
+/// has no strict split and runs NSP.
+pub fn determine_config(
     squad: &Squad,
     apps: &[DeployedApp],
     num_sms: u32,
+    model: &ChannelModel,
 ) -> ConfigChoice {
-    determine_config_inner(squad, apps, num_sms, false)
+    search(squad, apps, num_sms, model, model.is_scalar())
 }
 
-fn determine_config_inner(
+/// The one configuration search. `prune` enables the branch-and-bound
+/// cut; its lower bound is proven only for the plain max-of-stacks cost,
+/// so it is set only under [`ChannelModel::Scalar`]. With `prune` unset
+/// the exact walk evaluates every composition (the tests' uncut twin).
+fn search(
     squad: &Squad,
     apps: &[DeployedApp],
     num_sms: u32,
+    model: &ChannelModel,
     prune: bool,
 ) -> ConfigChoice {
     let k = squad.entries.len();
-    assert!(
-        k <= PARTITIONS,
-        "a squad cannot have more participants ({k}) than SM partitions ({PARTITIONS})"
-    );
     if k == 0 {
         return ConfigChoice {
             config: ExecConfig::Nsp,
@@ -211,9 +345,10 @@ fn determine_config_inner(
         };
     }
 
-    let nsp = predict_workload_equivalence(squad, apps, num_sms);
-    if k == 1 {
-        // A solo squad always runs unrestricted on the whole GPU.
+    let nsp = predict_workload_equivalence(squad, apps, num_sms, model);
+    if k == 1 || k > PARTITIONS {
+        // A solo squad always runs unrestricted on the whole GPU, and a
+        // squad with more participants than partitions has no strict split.
         return ConfigChoice {
             config: ExecConfig::Nsp,
             predicted: nsp,
@@ -222,48 +357,24 @@ fn determine_config_inner(
         };
     }
 
-    // Precompute per-entry stacked durations at every partition size so
-    // each SP candidate costs O(K). Each cell is an O(1) prefix-table
-    // range sum for the usual contiguous kernel selections.
-    let stacked: Vec<Vec<SimDuration>> = squad
-        .entries
-        .iter()
-        .map(|e| {
-            (0..PARTITIONS)
-                .map(|p| stacked_duration(&apps[e.app], p, &e.kernels))
-                .collect()
-        })
-        .collect();
-
-    let eval_sp = |parts: &[u32]| -> SimDuration {
-        parts
-            .iter()
-            .enumerate()
-            .map(|(i, &p)| stacked[i][p as usize - 1])
-            .max()
-            .unwrap_or(SimDuration::ZERO)
-    };
-
+    let cost = SpCost::new(squad, apps, model);
     let mut evaluated = 1; // NSP
     let mut pruned = 0usize;
     let mut best_sp: Option<(Vec<u32>, SimDuration)> = None;
-    let consider =
-        |parts: &[u32], dur: SimDuration, best: &mut Option<(Vec<u32>, SimDuration)>| match best {
-            Some((_, d)) if *d <= dur => {}
-            _ => *best = Some((parts.to_vec(), dur)),
-        };
 
     if k <= EXACT_SEARCH_MAX_APPS {
-        // Exact search over all compositions of PARTITIONS into k parts,
-        // visited in the same lexicographic order as
-        // [`enumerate_compositions`]; with `prune` set, subtrees whose
-        // best possible completion already cannot beat the incumbent are
-        // cut (see [`SpSearch::descend`]) — the argmin is provably
-        // unchanged because `consider` only replaces on strictly smaller
-        // durations.
-        let mut search = SpSearch {
-            stacked: &stacked,
-            best_at_most: best_at_most(&stacked),
+        // Exact search over all compositions of PARTITIONS into k parts in
+        // lexicographic order; with `prune` set, subtrees whose best
+        // possible completion already cannot beat the incumbent are cut
+        // (see [`SpSearch::descend`]) — the argmin is provably unchanged
+        // because `consider` only replaces on strictly smaller durations.
+        let mut walk = SpSearch {
+            best_at_most: if prune {
+                best_at_most(&cost.stacked)
+            } else {
+                Vec::new()
+            },
+            cost: &cost,
             k,
             prune,
             evaluated: 0,
@@ -271,35 +382,34 @@ fn determine_config_inner(
             best: None,
             parts: vec![1u32; k],
         };
-        search.descend(0, PARTITIONS as u32, SimDuration::ZERO);
-        evaluated += search.evaluated;
-        pruned = search.pruned;
-        best_sp = search.best;
+        walk.descend(0, PARTITIONS as u32, SimDuration::ZERO);
+        evaluated += walk.evaluated;
+        pruned = walk.pruned;
+        best_sp = walk.best;
     } else {
         // Quota-proportional seed + greedy hill climbing: repeatedly move
         // one slice from the entry with the most slack to the bottleneck.
         let quotas: Vec<f64> = squad.entries.iter().map(|e| apps[e.app].quota).collect();
         let mut parts = proportional_partitions(&quotas, PARTITIONS as u32);
-        let mut dur = eval_sp(&parts);
+        let mut dur = cost.eval(&parts);
         evaluated += 1;
         consider(&parts, dur, &mut best_sp);
-        // Find the bottleneck entry (max stacked duration) each round; an
-        // empty `parts` (degenerate squad) simply never enters the loop.
+        // Find the bottleneck entry (max stacked duration) each round.
         while let Some((bottleneck, _)) = parts
             .iter()
             .enumerate()
-            .map(|(i, &p)| (i, stacked[i][p as usize - 1]))
+            .map(|(i, &p)| (i, cost.stack(i, p)))
             .max_by_key(|&(_, d)| d)
         {
             // Take a slice from the entry whose duration is smallest after
             // losing one (and that has a slice to spare).
             let donor = (0..k)
                 .filter(|&i| i != bottleneck && parts[i] > 1)
-                .min_by_key(|&i| stacked[i][parts[i] as usize - 2]);
+                .min_by_key(|&i| cost.stack(i, parts[i] - 1));
             let Some(donor) = donor else { break };
             parts[donor] -= 1;
             parts[bottleneck] += 1;
-            let new_dur = eval_sp(&parts);
+            let new_dur = cost.eval(&parts);
             evaluated += 1;
             if new_dur >= dur {
                 break;
@@ -325,22 +435,28 @@ fn determine_config_inner(
     }
 }
 
+/// Keeps the first strictly fastest split seen.
+fn consider(parts: &[u32], dur: SimDuration, best: &mut Option<(Vec<u32>, SimDuration)>) {
+    match best {
+        Some((_, d)) if *d <= dur => {}
+        _ => *best = Some((parts.to_vec(), dur)),
+    }
+}
+
 /// Per-entry prefix minima of the stacked-duration tables:
 /// `best_at_most[i][s-1]` is the fastest entry `i` can possibly run when
 /// granted *at most* `s` partition slices. This is the branch-and-bound
 /// lower bound for entries the composition prefix has not assigned yet —
 /// exact without assuming the profiled tables are monotone in SMs.
-fn best_at_most(stacked: &[Vec<SimDuration>]) -> Vec<Vec<SimDuration>> {
+fn best_at_most(stacked: &[[SimDuration; PARTITIONS]]) -> Vec<[SimDuration; PARTITIONS]> {
     stacked
         .iter()
         .map(|row| {
             let mut best = SimDuration::MAX;
-            row.iter()
-                .map(|&d| {
-                    best = best.min(d);
-                    best
-                })
-                .collect()
+            row.map(|d| {
+                best = best.min(d);
+                best
+            })
         })
         .collect()
 }
@@ -358,12 +474,13 @@ fn compositions(total: u32, slots: u32) -> usize {
     c as usize
 }
 
-/// Depth-first branch-and-bound over SP compositions.
+/// Depth-first walk over SP compositions, with an optional
+/// branch-and-bound cut.
 struct SpSearch<'a> {
-    /// `stacked[i][p-1]`: entry `i`'s stacked duration on `p` slices.
-    stacked: &'a [Vec<SimDuration>],
-    /// Prefix minima of `stacked` (see [`best_at_most`]).
-    best_at_most: Vec<Vec<SimDuration>>,
+    cost: &'a SpCost<'a>,
+    /// Prefix minima of the stacks (see [`best_at_most`]); empty unless
+    /// `prune` is set.
+    best_at_most: Vec<[SimDuration; PARTITIONS]>,
     k: usize,
     prune: bool,
     evaluated: usize,
@@ -374,21 +491,24 @@ struct SpSearch<'a> {
 
 impl SpSearch<'_> {
     /// Assigns slices to entry `idx` given `remaining` unassigned slices;
-    /// `partial_max` is the duration floor set by entries `0..idx`.
+    /// `partial_max` is the max stack of entries `0..idx`.
     fn descend(&mut self, idx: usize, remaining: u32, partial_max: SimDuration) {
         if idx == self.k - 1 {
             self.parts[idx] = remaining;
-            let dur = partial_max.max(self.stacked[idx][remaining as usize - 1]);
+            // A scalar leaf is the plain max of stacks, O(1) from the
+            // prefix; the channel cost needs the whole split.
+            let dur = if self.cost.channels.is_none() {
+                partial_max.max(self.cost.stack(idx, remaining))
+            } else {
+                self.cost.eval(&self.parts)
+            };
             self.evaluated += 1;
-            match &self.best {
-                Some((_, d)) if *d <= dur => {}
-                _ => self.best = Some((self.parts.clone(), dur)),
-            }
+            consider(&self.parts, dur, &mut self.best);
             return;
         }
         let slots_after = (self.k - idx - 1) as u32;
         for p in 1..=(remaining - slots_after) {
-            let new_max = partial_max.max(self.stacked[idx][p as usize - 1]);
+            let new_max = partial_max.max(self.cost.stack(idx, p));
             if self.prune {
                 if let Some((_, incumbent)) = &self.best {
                     // Lower-bound any completion of this prefix: assigned
@@ -435,9 +555,10 @@ const MEMO_CAPACITY: usize = 4096;
 /// its `evaluated` count — so memoized and unmemoized runs are
 /// indistinguishable from the outside.
 ///
-/// A memo is only sound for a fixed deployment: it must not outlive the
-/// `apps` slice it was populated against (each [`crate::BlessDriver`]
-/// owns its own).
+/// A memo is only sound for a fixed deployment on a fixed spec: it must
+/// not outlive the `apps` slice it was populated against, and the key does
+/// not encode the interference model (each [`crate::BlessDriver`] owns its
+/// own memo for one GPU).
 #[derive(Debug, Default)]
 pub struct ConfigMemo {
     map: std::collections::HashMap<MemoKey, ConfigChoice>,
@@ -457,354 +578,6 @@ impl ConfigMemo {
 /// [`determine_config`] with memoization: answers recurring squad
 /// signatures from `memo` and falls back to the full search (caching the
 /// result) otherwise. Non-contiguous kernel selections are never cached.
-pub fn determine_config_memo(
-    memo: &mut ConfigMemo,
-    squad: &Squad,
-    apps: &[DeployedApp],
-    num_sms: u32,
-) -> ConfigChoice {
-    let signature = squad
-        .entries
-        .iter()
-        .map(|e| contiguous_range(&e.kernels).map(|(start, end)| (e.app, start, end - start)))
-        .collect::<Option<Vec<_>>>();
-    let Some(sig) = signature else {
-        memo.misses += 1;
-        return determine_config(squad, apps, num_sms);
-    };
-    let key: MemoKey = (num_sms, sig);
-    if let Some(choice) = memo.map.get(&key) {
-        memo.hits += 1;
-        return choice.clone();
-    }
-    memo.misses += 1;
-    let choice = determine_config(squad, apps, num_sms);
-    if memo.map.len() >= MEMO_CAPACITY {
-        memo.map.clear();
-    }
-    memo.map.insert(key, choice.clone());
-    choice
-}
-
-// ---------------------------------------------------------------------------
-// Channel-aware estimators (DESIGN.md §5j).
-//
-// Under `ChannelModel::PerResource` the engine slows co-running kernels by
-// the bottleneck max of per-channel contention curves; the two estimators
-// below feed that same signal into the determiner so `determine_config`
-// sees channel-aware estimates. Under `ChannelModel::Scalar` every
-// `_model` entry point delegates to the original function, bit-for-bit —
-// so scalar deployments (the default) are untouched.
-// ---------------------------------------------------------------------------
-
-/// Mean per-channel demand of one squad entry's *compute* kernels (the
-/// demand vector the entry presses on shared channels while its squad
-/// runs). Entries with no compute kernels press on nothing.
-fn entry_mean_demand(app: &DeployedApp, kernels: &[usize]) -> ChannelDemand {
-    let mut sum = [0.0f64; NUM_CHANNELS];
-    let mut n = 0u32;
-    for &k in kernels {
-        let desc = &app.profile.kernels[k];
-        if desc.kind.is_compute() {
-            for (s, d) in sum.iter_mut().zip(&desc.demand.0) {
-                *s += d;
-            }
-            n += 1;
-        }
-    }
-    if n > 0 {
-        for s in &mut sum {
-            *s /= n as f64;
-        }
-    }
-    ChannelDemand(sum)
-}
-
-/// Eq. 1 with per-resource channels: each entry's stacked duration is
-/// inflated by the cross-partition contention it suffers on *shared*
-/// channels (L2, DRAM-BW, PCIe). The compute channel is zeroed: SM
-/// partitioning is exactly the mechanism that removes compute-issue
-/// contention, which is why SP squads exist at all.
-pub fn predict_interference_free_channels(
-    squad: &Squad,
-    apps: &[DeployedApp],
-    partitions: &[u32],
-    params: &ChannelParams,
-) -> SimDuration {
-    assert_eq!(
-        squad.entries.len(),
-        partitions.len(),
-        "one partition count per squad entry"
-    );
-    let total_parts: u32 = partitions.iter().sum::<u32>().max(1);
-    let mut traffic = [0.0f64; NUM_CHANNELS];
-    let mut worst = SimDuration::ZERO;
-    // First pass: aggregate traffic from every entry's mean demand,
-    // weighted by its share of the GPU.
-    for (entry, &parts) in squad.entries.iter().zip(partitions) {
-        let share = parts as f64 / total_parts as f64;
-        let mean = entry_mean_demand(&apps[entry.app], &entry.kernels);
-        for (t, d) in traffic.iter_mut().zip(&mean.0) {
-            *t += d * share;
-        }
-    }
-    // Hard SM partitions isolate the compute channel.
-    traffic[Channel::Compute as usize] = 0.0;
-    for (entry, &parts) in squad.entries.iter().zip(partitions) {
-        assert!(parts >= 1 && (parts as usize) <= PARTITIONS);
-        let part_idx = parts as usize - 1;
-        let share = parts as f64 / total_parts as f64;
-        let mean = entry_mean_demand(&apps[entry.app], &entry.kernels);
-        let slow = params.slowdown(&mean, share, &traffic);
-        let total = stacked_duration(&apps[entry.app], part_idx, &entry.kernels).mul_f64(slow);
-        worst = worst.max(total);
-    }
-    worst
-}
-
-/// Eq. 2 with per-resource channels: each overlap row accumulates
-/// per-channel traffic from its kernels' demand vectors (shares from the
-/// profiled natural demand, normalized down when the row oversubscribes
-/// the GPU) and every kernel's row duration is inflated by its own
-/// bottleneck-channel slowdown.
-pub fn predict_workload_equivalence_channels(
-    squad: &Squad,
-    apps: &[DeployedApp],
-    num_sms: u32,
-    params: &ChannelParams,
-) -> SimDuration {
-    let q = squad
-        .entries
-        .iter()
-        .map(|e| e.kernels.len())
-        .max()
-        .unwrap_or(0);
-    let mut total = SimDuration::ZERO;
-    for i in 0..q {
-        let mut demand_frac = 0.0;
-        for e in &squad.entries {
-            if let Some(&k) = e.kernels.get(i) {
-                demand_frac += apps[e.app].profile.d_frac[k];
-            }
-        }
-        // When the row wants more than the whole GPU, shares shrink
-        // proportionally (the hardware cannot grant more than 100%).
-        let scale = if demand_frac > 1.0 {
-            1.0 / demand_frac
-        } else {
-            1.0
-        };
-        let mut traffic = [0.0f64; NUM_CHANNELS];
-        for e in &squad.entries {
-            if let Some(&k) = e.kernels.get(i) {
-                let profile = &apps[e.app].profile;
-                if profile.kernels[k].kind.is_compute() {
-                    let share = profile.d_frac[k] * scale;
-                    for (t, d) in traffic.iter_mut().zip(&profile.kernels[k].demand.0) {
-                        *t += d * share;
-                    }
-                }
-            }
-        }
-        let demand_sms = (demand_frac * num_sms as f64).clamp(1.0, num_sms.max(1) as f64);
-        for e in &squad.entries {
-            if let Some(&k) = e.kernels.get(i) {
-                let profile = &apps[e.app].profile;
-                let d = if profile.kernels[k].kind.is_compute() {
-                    let share = profile.d_frac[k] * scale;
-                    let slow = params.slowdown(&profile.kernels[k].demand, share, &traffic);
-                    profile.duration_at_sms(k, demand_sms).mul_f64(slow)
-                } else {
-                    profile.kernel_duration(PARTITIONS - 1, k)
-                };
-                total += d;
-            }
-        }
-    }
-    total
-}
-
-/// Model-dispatching Eq. 1: scalar delegates to
-/// [`predict_interference_free`] unchanged.
-pub fn predict_interference_free_model(
-    squad: &Squad,
-    apps: &[DeployedApp],
-    partitions: &[u32],
-    model: &ChannelModel,
-) -> SimDuration {
-    match model {
-        ChannelModel::Scalar => predict_interference_free(squad, apps, partitions),
-        ChannelModel::PerResource(p) => {
-            predict_interference_free_channels(squad, apps, partitions, p)
-        }
-    }
-}
-
-/// Model-dispatching Eq. 2: scalar delegates to
-/// [`predict_workload_equivalence`] unchanged.
-pub fn predict_workload_equivalence_model(
-    squad: &Squad,
-    apps: &[DeployedApp],
-    num_sms: u32,
-    model: &ChannelModel,
-) -> SimDuration {
-    match model {
-        ChannelModel::Scalar => predict_workload_equivalence(squad, apps, num_sms),
-        ChannelModel::PerResource(p) => {
-            predict_workload_equivalence_channels(squad, apps, num_sms, p)
-        }
-    }
-}
-
-/// [`determine_config`] under an explicit interference model: scalar
-/// delegates to the original search (bit-identical, pruning intact);
-/// per-resource evaluates candidates with the channel-aware estimators.
-///
-/// The per-resource SP search is exhaustive up to
-/// [`EXACT_SEARCH_MAX_APPS`] — the branch-and-bound cut is *not* applied
-/// because the cross-partition slowdown breaks the stacked-duration lower
-/// bound — and falls back to the proportional-seed hill climb beyond
-/// that, mirroring the scalar path's shape.
-pub fn determine_config_model(
-    squad: &Squad,
-    apps: &[DeployedApp],
-    num_sms: u32,
-    model: &ChannelModel,
-) -> ConfigChoice {
-    match model {
-        ChannelModel::Scalar => determine_config(squad, apps, num_sms),
-        ChannelModel::PerResource(p) => determine_config_channels(squad, apps, num_sms, p),
-    }
-}
-
-fn determine_config_channels(
-    squad: &Squad,
-    apps: &[DeployedApp],
-    num_sms: u32,
-    params: &ChannelParams,
-) -> ConfigChoice {
-    let k = squad.entries.len();
-    assert!(
-        k <= PARTITIONS,
-        "a squad cannot have more participants ({k}) than SM partitions ({PARTITIONS})"
-    );
-    if k == 0 {
-        return ConfigChoice {
-            config: ExecConfig::Nsp,
-            predicted: SimDuration::ZERO,
-            evaluated: 0,
-            pruned: 0,
-        };
-    }
-    let nsp = predict_workload_equivalence_channels(squad, apps, num_sms, params);
-    if k == 1 {
-        return ConfigChoice {
-            config: ExecConfig::Nsp,
-            predicted: nsp,
-            evaluated: 1,
-            pruned: 0,
-        };
-    }
-
-    let stacked: Vec<Vec<SimDuration>> = squad
-        .entries
-        .iter()
-        .map(|e| {
-            (0..PARTITIONS)
-                .map(|p| stacked_duration(&apps[e.app], p, &e.kernels))
-                .collect()
-        })
-        .collect();
-    let means: Vec<ChannelDemand> = squad
-        .entries
-        .iter()
-        .map(|e| entry_mean_demand(&apps[e.app], &e.kernels))
-        .collect();
-
-    // Channel-aware SP evaluation sharing the precomputed stacks: the
-    // same math as `predict_interference_free_channels`, O(K) per
-    // candidate.
-    let eval_sp = |parts: &[u32]| -> SimDuration {
-        let total_parts: u32 = parts.iter().sum::<u32>().max(1);
-        let mut traffic = [0.0f64; NUM_CHANNELS];
-        for (mean, &p) in means.iter().zip(parts) {
-            let share = p as f64 / total_parts as f64;
-            for (t, d) in traffic.iter_mut().zip(&mean.0) {
-                *t += d * share;
-            }
-        }
-        traffic[Channel::Compute as usize] = 0.0;
-        let mut worst = SimDuration::ZERO;
-        for (i, &p) in parts.iter().enumerate() {
-            let share = p as f64 / total_parts as f64;
-            let slow = params.slowdown(&means[i], share, &traffic);
-            worst = worst.max(stacked[i][p as usize - 1].mul_f64(slow));
-        }
-        worst
-    };
-
-    let mut evaluated = 1; // NSP
-    let mut best_sp: Option<(Vec<u32>, SimDuration)> = None;
-    let consider =
-        |parts: &[u32], dur: SimDuration, best: &mut Option<(Vec<u32>, SimDuration)>| match best {
-            Some((_, d)) if *d <= dur => {}
-            _ => *best = Some((parts.to_vec(), dur)),
-        };
-
-    if k <= EXACT_SEARCH_MAX_APPS {
-        let mut parts = vec![1u32; k];
-        enumerate_compositions(PARTITIONS as u32, k, &mut parts, 0, &mut |p| {
-            evaluated += 1;
-            consider(p, eval_sp(p), &mut best_sp);
-        });
-    } else {
-        let quotas: Vec<f64> = squad.entries.iter().map(|e| apps[e.app].quota).collect();
-        let mut parts = proportional_partitions(&quotas, PARTITIONS as u32);
-        let mut dur = eval_sp(&parts);
-        evaluated += 1;
-        consider(&parts, dur, &mut best_sp);
-        while let Some((bottleneck, _)) = parts
-            .iter()
-            .enumerate()
-            .map(|(i, &p)| (i, stacked[i][p as usize - 1]))
-            .max_by_key(|&(_, d)| d)
-        {
-            let donor = (0..k)
-                .filter(|&i| i != bottleneck && parts[i] > 1)
-                .min_by_key(|&i| stacked[i][parts[i] as usize - 2]);
-            let Some(donor) = donor else { break };
-            parts[donor] -= 1;
-            parts[bottleneck] += 1;
-            let new_dur = eval_sp(&parts);
-            evaluated += 1;
-            if new_dur >= dur {
-                break;
-            }
-            dur = new_dur;
-            consider(&parts, dur, &mut best_sp);
-        }
-    }
-
-    match best_sp {
-        Some((parts, dur)) if dur < nsp => ConfigChoice {
-            config: ExecConfig::Sp { partitions: parts },
-            predicted: dur,
-            evaluated,
-            pruned: 0,
-        },
-        _ => ConfigChoice {
-            config: ExecConfig::Nsp,
-            predicted: nsp,
-            evaluated,
-            pruned: 0,
-        },
-    }
-}
-
-/// [`determine_config_memo`] under an explicit interference model. The
-/// memo key does not encode the model: a memo belongs to one driver on
-/// one deployment, whose spec (and thus model) is fixed for its lifetime,
-/// so entries cannot collide across models.
 pub fn determine_config_memo_model(
     memo: &mut ConfigMemo,
     squad: &Squad,
@@ -819,7 +592,7 @@ pub fn determine_config_memo_model(
         .collect::<Option<Vec<_>>>();
     let Some(sig) = signature else {
         memo.misses += 1;
-        return determine_config_model(squad, apps, num_sms, model);
+        return determine_config(squad, apps, num_sms, model);
     };
     let key: MemoKey = (num_sms, sig);
     if let Some(choice) = memo.map.get(&key) {
@@ -827,35 +600,12 @@ pub fn determine_config_memo_model(
         return choice.clone();
     }
     memo.misses += 1;
-    let choice = determine_config_model(squad, apps, num_sms, model);
+    let choice = determine_config(squad, apps, num_sms, model);
     if memo.map.len() >= MEMO_CAPACITY {
         memo.map.clear();
     }
     memo.map.insert(key, choice.clone());
     choice
-}
-
-/// Reference enumerator of compositions of `total` into `k` positive
-/// parts, in the lexicographic order [`SpSearch`] visits them. Doubles as
-/// the specification the pruned search's unit tests check against and as
-/// the exhaustive walk of the channel-aware determiner.
-fn enumerate_compositions(
-    total: u32,
-    k: usize,
-    parts: &mut Vec<u32>,
-    idx: usize,
-    f: &mut impl FnMut(&[u32]),
-) {
-    let remaining_slots = (k - idx - 1) as u32;
-    if idx == k - 1 {
-        parts[idx] = total;
-        f(parts);
-        return;
-    }
-    for p in 1..=(total - remaining_slots) {
-        parts[idx] = p;
-        enumerate_compositions(total - p, k, parts, idx + 1, f);
-    }
 }
 
 /// Divides `total` slices proportionally to the quotas, each entry ≥ 1.
@@ -907,6 +657,17 @@ mod tests {
     use gpu_sim::GpuSpec;
     use profiler::ProfiledApp;
 
+    const SCALAR: ChannelModel = ChannelModel::Scalar;
+
+    fn per_resource() -> ChannelModel {
+        ChannelModel::PerResource(ChannelParams::a100())
+    }
+
+    /// The uncut twin: the same search with the branch-and-bound cut off.
+    fn exhaustive(squad: &Squad, apps: &[DeployedApp], model: &ChannelModel) -> ConfigChoice {
+        search(squad, apps, 108, model, false)
+    }
+
     fn deploy(kind: ModelKind, quota: f64) -> DeployedApp {
         let profile =
             ProfiledApp::profile(&AppModel::build(kind, Phase::Inference), &GpuSpec::a100());
@@ -930,14 +691,12 @@ mod tests {
     #[test]
     fn composition_count_matches_formula() {
         // C(N-1, K-1) compositions for K parts of N.
-        let mut parts = vec![1u32; 2];
-        let mut n = 0;
-        enumerate_compositions(18, 2, &mut parts, 0, &mut |_| n += 1);
-        assert_eq!(n, 17); // C(17,1)
-        let mut parts = vec![1u32; 3];
-        let mut n = 0;
-        enumerate_compositions(18, 3, &mut parts, 0, &mut |_| n += 1);
-        assert_eq!(n, 136); // C(17,2)
+        assert_eq!(compositions(18, 1), 1);
+        assert_eq!(compositions(18, 2), 17); // C(17,1)
+        assert_eq!(compositions(18, 3), 136); // C(17,2)
+        assert_eq!(compositions(18, 6), 6188); // C(17,5)
+        assert_eq!(compositions(18, 18), 1);
+        assert_eq!(compositions(5, 3), 6); // C(4,2)
     }
 
     #[test]
@@ -948,49 +707,60 @@ mod tests {
             deploy(ModelKind::ResNet50, 0.5),
         ];
         let squad = squad_of(&apps, 10);
-        let exhaustive = determine_config_exhaustive(&squad, &apps, 108);
-        assert_eq!(exhaustive.evaluated, 18);
-        assert_eq!(exhaustive.pruned, 0);
+        let uncut = exhaustive(&squad, &apps, &SCALAR);
+        assert_eq!(uncut.evaluated, 18);
+        assert_eq!(uncut.pruned, 0);
         // The branch-and-bound cut must cover the same space: every
         // candidate is either evaluated or accounted for as pruned.
-        let choice = determine_config(&squad, &apps, 108);
+        let choice = determine_config(&squad, &apps, 108, &SCALAR);
         assert_eq!(choice.evaluated + choice.pruned, 18);
-        assert_eq!(choice.config, exhaustive.config);
-        assert_eq!(choice.predicted, exhaustive.predicted);
+        assert_eq!(choice.config, uncut.config);
+        assert_eq!(choice.predicted, uncut.predicted);
     }
 
     /// The pruned determiner is a pure speedup: across a spread of squad
     /// shapes and sizes it returns the exhaustive argmin (same config,
     /// same prediction) while covering the full space via
     /// `evaluated + pruned` — and actually cuts work on the larger spaces.
+    /// The second kind list and the 12-kernel squads are the
+    /// `cluster_scale` bench's `determiner_search` inputs.
     #[test]
     fn pruned_search_matches_exhaustive() {
-        let kinds = [
+        let mixed = [
             ModelKind::Vgg11,
             ModelKind::ResNet50,
             ModelKind::NasNet,
             ModelKind::Bert,
             ModelKind::ResNet101,
-            ModelKind::AlexNet,
+        ];
+        let bench = [
+            ModelKind::Vgg11,
+            ModelKind::ResNet50,
+            ModelKind::ResNet101,
+            ModelKind::Bert,
+            ModelKind::Vgg11,
         ];
         let mut saved_anywhere = false;
-        for k in 2..=5usize {
-            let apps: Vec<DeployedApp> = kinds[..k]
-                .iter()
-                .map(|&m| deploy(m, 1.0 / k as f64))
-                .collect();
-            for per_app in [3, 8, 14] {
-                let squad = squad_of(&apps, per_app);
-                let fast = determine_config(&squad, &apps, 108);
-                let slow = determine_config_exhaustive(&squad, &apps, 108);
-                assert_eq!(fast.config, slow.config, "k={k} per_app={per_app}");
-                assert_eq!(fast.predicted, slow.predicted, "k={k} per_app={per_app}");
-                assert_eq!(
-                    fast.evaluated + fast.pruned,
-                    slow.evaluated,
-                    "k={k} per_app={per_app}: candidate accounting"
-                );
-                saved_anywhere |= fast.evaluated < slow.evaluated;
+        for (kinds, sizes) in [(mixed, &[3, 8, 14][..]), (bench, &[12][..])] {
+            for k in 2..=5usize {
+                let apps: Vec<DeployedApp> = kinds[..k]
+                    .iter()
+                    .map(|&m| deploy(m, 1.0 / k as f64))
+                    .collect();
+                for &per_app in sizes {
+                    let squad = squad_of(&apps, per_app);
+                    let fast = determine_config(&squad, &apps, 108, &SCALAR);
+                    let slow = exhaustive(&squad, &apps, &SCALAR);
+                    assert_eq!(fast.config, slow.config, "k={k} per_app={per_app}");
+                    assert_eq!(fast.predicted, slow.predicted, "k={k} per_app={per_app}");
+                    assert_eq!(
+                        fast.evaluated + fast.pruned,
+                        slow.evaluated,
+                        "k={k} per_app={per_app}: candidate accounting"
+                    );
+                    assert_eq!(slow.evaluated, 1 + compositions(18, k as u32));
+                    saved_anywhere |= fast.evaluated < slow.evaluated;
+                }
             }
         }
         assert!(saved_anywhere, "the cut never fired on any squad shape");
@@ -1004,7 +774,7 @@ mod tests {
         ];
         let squad = squad_of(&apps, 5);
         // Full GPU each (impossible config, but the math is the point):
-        let d_both = predict_interference_free(&squad, &apps, &[9, 9]);
+        let d_both = predict_interference_free(&squad, &apps, &[9, 9], &SCALAR);
         let stack = |app: usize| -> SimDuration {
             (1..=5)
                 .map(|k| apps[app].profile.kernel_duration(8, k))
@@ -1032,8 +802,8 @@ mod tests {
                 },
             ],
         };
-        let even = predict_interference_free(&squad, &apps, &[9, 9]);
-        let skewed = predict_interference_free(&squad, &apps, &[14, 4]);
+        let even = predict_interference_free(&squad, &apps, &[9, 9], &SCALAR);
+        let skewed = predict_interference_free(&squad, &apps, &[14, 4], &SCALAR);
         assert!(skewed < even, "{skewed:?} vs {even:?}");
     }
 
@@ -1043,7 +813,7 @@ mod tests {
         // sequentializing penalty of the hardware scheduler (Fig. 7).
         let apps = vec![deploy(ModelKind::NasNet, 0.5), deploy(ModelKind::Bert, 0.5)];
         let squad = squad_of(&apps, 25);
-        let choice = determine_config(&squad, &apps, 108);
+        let choice = determine_config(&squad, &apps, 108, &SCALAR);
         match &choice.config {
             ExecConfig::Sp { partitions } => {
                 assert_eq!(partitions.iter().sum::<u32>(), 18);
@@ -1057,7 +827,7 @@ mod tests {
     fn solo_squads_run_nsp() {
         let apps = vec![deploy(ModelKind::ResNet50, 0.5)];
         let squad = squad_of(&apps, 10);
-        let choice = determine_config(&squad, &apps, 108);
+        let choice = determine_config(&squad, &apps, 108, &SCALAR);
         assert_eq!(choice.config, ExecConfig::Nsp);
         assert_eq!(choice.evaluated, 1);
     }
@@ -1091,7 +861,7 @@ mod tests {
             })
             .collect();
         let squad = squad_of(&apps, 4);
-        let choice = determine_config(&squad, &apps, 108);
+        let choice = determine_config(&squad, &apps, 108, &SCALAR);
         if let ExecConfig::Sp { partitions } = &choice.config {
             assert_eq!(partitions.len(), 8);
             assert_eq!(partitions.iter().sum::<u32>(), 18);
@@ -1108,7 +878,7 @@ mod tests {
                 kernels: vec![1, 2, 3],
             }],
         };
-        let d = predict_workload_equivalence(&squad, &apps, 108);
+        let d = predict_workload_equivalence(&squad, &apps, 108, &SCALAR);
         // A single request at its own demand: close to its full-speed sum.
         let full: SimDuration = (1..=3)
             .map(|k| apps[0].profile.kernel_duration(PARTITIONS - 1, k))
@@ -1152,44 +922,18 @@ mod tests {
         let squad = squad_of(&apps, 3);
         // Must not panic on the inverted clamp bounds; exact value is
         // meaningless on a zero-SM device.
-        let _ = predict_workload_equivalence(&squad, &apps, 0);
+        let _ = predict_workload_equivalence(&squad, &apps, 0, &SCALAR);
     }
 
     #[test]
     fn empty_squad_determines_nsp() {
         let apps = vec![deploy(ModelKind::Vgg11, 1.0)];
-        let choice = determine_config(&Squad::default(), &apps, 108);
+        let choice = determine_config(&Squad::default(), &apps, 108, &SCALAR);
         assert_eq!(choice.config, ExecConfig::Nsp);
         assert_eq!(choice.evaluated, 0);
     }
 
     // -- channel-aware estimators (DESIGN.md §5j) ---------------------------
-
-    /// Every `_model` entry point under `ChannelModel::Scalar` is a pure
-    /// passthrough: identical results, identical search accounting.
-    #[test]
-    fn scalar_model_dispatch_is_bit_exact() {
-        let apps = vec![
-            deploy(ModelKind::NasNet, 0.5),
-            deploy(ModelKind::ResNet50, 0.5),
-        ];
-        let squad = squad_of(&apps, 10);
-        let model = ChannelModel::Scalar;
-        assert_eq!(
-            predict_interference_free_model(&squad, &apps, &[9, 9], &model),
-            predict_interference_free(&squad, &apps, &[9, 9]),
-        );
-        assert_eq!(
-            predict_workload_equivalence_model(&squad, &apps, 108, &model),
-            predict_workload_equivalence(&squad, &apps, 108),
-        );
-        let dispatched = determine_config_model(&squad, &apps, 108, &model);
-        let direct = determine_config(&squad, &apps, 108);
-        assert_eq!(dispatched.config, direct.config);
-        assert_eq!(dispatched.predicted, direct.predicted);
-        assert_eq!(dispatched.evaluated, direct.evaluated);
-        assert_eq!(dispatched.pruned, direct.pruned);
-    }
 
     /// Eq. 1 zeroes the compute channel (SM partitioning is exactly the
     /// mechanism that removes compute-issue contention), so a parameter
@@ -1204,13 +948,17 @@ mod tests {
         ];
         let squad = squad_of(&apps, 5);
         let compute_only = ChannelParams::matched_scalar(1.5, 0.30, 2.0, Channel::Compute);
-        let plain = predict_interference_free(&squad, &apps, &[9, 9]);
+        let plain = predict_interference_free(&squad, &apps, &[9, 9], &SCALAR);
         assert_eq!(
-            predict_interference_free_channels(&squad, &apps, &[9, 9], &compute_only),
+            predict_interference_free(
+                &squad,
+                &apps,
+                &[9, 9],
+                &ChannelModel::PerResource(compute_only)
+            ),
             plain,
         );
-        let calibrated =
-            predict_interference_free_channels(&squad, &apps, &[9, 9], &ChannelParams::a100());
+        let calibrated = predict_interference_free(&squad, &apps, &[9, 9], &per_resource());
         assert!(calibrated > plain, "{calibrated:?} vs {plain:?}");
     }
 
@@ -1223,9 +971,8 @@ mod tests {
         let apps: Vec<DeployedApp> = kinds.iter().map(|&m| deploy(m, 1.0 / 3.0)).collect();
         for per_app in [3, 8, 14] {
             let squad = squad_of(&apps, per_app);
-            let chan =
-                predict_workload_equivalence_channels(&squad, &apps, 108, &ChannelParams::a100());
-            let scalar = predict_workload_equivalence(&squad, &apps, 108);
+            let chan = predict_workload_equivalence(&squad, &apps, 108, &per_resource());
+            let scalar = predict_workload_equivalence(&squad, &apps, 108, &SCALAR);
             assert!(chan >= scalar, "per_app={per_app}: {chan:?} < {scalar:?}");
         }
     }
@@ -1239,8 +986,7 @@ mod tests {
     fn channel_determiner_is_well_formed() {
         let apps = vec![deploy(ModelKind::NasNet, 0.5), deploy(ModelKind::Bert, 0.5)];
         let squad = squad_of(&apps, 25);
-        let model = ChannelModel::PerResource(ChannelParams::a100());
-        let choice = determine_config_model(&squad, &apps, 108, &model);
+        let choice = determine_config(&squad, &apps, 108, &per_resource());
         assert!(choice.predicted > SimDuration::ZERO);
         assert_eq!(choice.pruned, 0);
         assert_eq!(choice.evaluated, 18); // NSP + C(17, 1) SP splits
@@ -1268,8 +1014,7 @@ mod tests {
             })
             .collect();
         let squad = squad_of(&apps, 4);
-        let model = ChannelModel::PerResource(ChannelParams::a100());
-        let choice = determine_config_model(&squad, &apps, 108, &model);
+        let choice = determine_config(&squad, &apps, 108, &per_resource());
         if let ExecConfig::Sp { partitions } = &choice.config {
             assert_eq!(partitions.len(), 8);
             assert_eq!(partitions.iter().sum::<u32>(), 18);
@@ -1277,24 +1022,49 @@ mod tests {
         assert!(choice.evaluated < 1000, "hill climbing stays cheap");
     }
 
-    /// The memoized model dispatcher caches per-resource choices and
-    /// returns them verbatim on recurring squad signatures.
+    /// The per-resource search never cuts: for every exactly searched
+    /// squad size it evaluates NSP plus all `C(17, k−1)` strict splits.
     #[test]
-    fn memo_model_caches_channel_choices() {
-        let apps = vec![deploy(ModelKind::NasNet, 0.5), deploy(ModelKind::Bert, 0.5)];
-        let squad = squad_of(&apps, 10);
-        let model = ChannelModel::PerResource(ChannelParams::a100());
-        let mut memo = ConfigMemo::new();
-        let first = determine_config_memo_model(&mut memo, &squad, &apps, 108, &model);
-        assert_eq!(memo.misses, 1);
-        assert_eq!(memo.hits, 0);
-        let second = determine_config_memo_model(&mut memo, &squad, &apps, 108, &model);
-        assert_eq!(memo.hits, 1);
-        assert_eq!(first.config, second.config);
-        assert_eq!(first.predicted, second.predicted);
-        // And the uncached search agrees with what the memo stored.
-        let direct = determine_config_model(&squad, &apps, 108, &model);
-        assert_eq!(first.config, direct.config);
-        assert_eq!(first.predicted, direct.predicted);
+    fn per_resource_search_evaluates_every_split() {
+        let kinds = [
+            ModelKind::Vgg11,
+            ModelKind::ResNet50,
+            ModelKind::NasNet,
+            ModelKind::Bert,
+            ModelKind::ResNet101,
+        ];
+        for k in 2..=5usize {
+            let apps: Vec<DeployedApp> = kinds[..k]
+                .iter()
+                .map(|&m| deploy(m, 1.0 / k as f64))
+                .collect();
+            let squad = squad_of(&apps, 8);
+            let choice = determine_config(&squad, &apps, 108, &per_resource());
+            assert_eq!(choice.evaluated, 1 + compositions(18, k as u32), "k={k}");
+            assert_eq!(choice.pruned, 0, "k={k}");
+            let uncut = exhaustive(&squad, &apps, &per_resource());
+            assert_eq!(choice.config, uncut.config, "k={k}");
+            assert_eq!(choice.predicted, uncut.predicted, "k={k}");
+        }
+    }
+
+    /// More participants than partitions leaves no strict split: the
+    /// squad runs NSP after one evaluation under either model.
+    #[test]
+    fn more_participants_than_partitions_run_nsp() {
+        let apps: Vec<DeployedApp> = (0..PARTITIONS + 1)
+            .map(|_| deploy(ModelKind::ResNet50, 1.0 / (PARTITIONS + 1) as f64))
+            .collect();
+        let squad = squad_of(&apps, 2);
+        for model in [SCALAR, per_resource()] {
+            let choice = determine_config(&squad, &apps, 108, &model);
+            assert_eq!(choice.config, ExecConfig::Nsp);
+            assert_eq!(choice.evaluated, 1);
+            assert_eq!(choice.pruned, 0);
+            assert_eq!(
+                choice.predicted,
+                predict_workload_equivalence(&squad, &apps, 108, &model)
+            );
+        }
     }
 }

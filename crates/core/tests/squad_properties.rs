@@ -3,11 +3,11 @@
 #![allow(clippy::unwrap_used, clippy::expect_used)] // test code
 
 use bless::{
-    determine_config, determine_config_memo, generate_squad, ActiveRequest, BlessParams,
+    determine_config, determine_config_memo_model, generate_squad, ActiveRequest, BlessParams,
     ConfigMemo, DeployedApp, ExecConfig,
 };
 use dnn_models::{AppModel, ModelKind, Phase};
-use gpu_sim::GpuSpec;
+use gpu_sim::{ChannelModel, ChannelParams, GpuSpec};
 use profiler::ProfiledApp;
 use proptest::prelude::*;
 use sim_core::SimTime;
@@ -87,7 +87,7 @@ proptest! {
         let params = BlessParams::default();
         let squad = generate_squad(SimTime::from_millis(5), &active, &apps, &params);
         prop_assume!(squad.entries.len() >= 2);
-        let choice = determine_config(&squad, &apps, 108);
+        let choice = determine_config(&squad, &apps, 108, &ChannelModel::Scalar);
         match &choice.config {
             ExecConfig::Sp { partitions } => {
                 prop_assert_eq!(partitions.len(), squad.entries.len());
@@ -100,12 +100,19 @@ proptest! {
     }
 
     /// Memoized determination is indistinguishable from the plain search
-    /// — same config, prediction, and `evaluated` count — and a recurring
-    /// squad signature is answered from the memo.
+    /// — same config, prediction, and `evaluated` count — under either
+    /// interference model, and a recurring squad signature is answered
+    /// from the memo.
     #[test]
     fn prop_memoized_determiner_matches_plain(
         counts in proptest::collection::vec(3usize..25, 2..4),
+        per_resource in any::<bool>(),
     ) {
+        let model = if per_resource {
+            ChannelModel::PerResource(ChannelParams::a100())
+        } else {
+            ChannelModel::Scalar
+        };
         let quotas: Vec<f64> = vec![1.0 / counts.len() as f64; counts.len()];
         let apps = apps_for(&quotas);
         let active: Vec<ActiveRequest> = counts
@@ -115,10 +122,10 @@ proptest! {
             .collect();
         let squad = generate_squad(SimTime::from_millis(5), &active, &apps, &BlessParams::default());
         prop_assume!(squad.entries.len() >= 2);
-        let plain = determine_config(&squad, &apps, 108);
+        let plain = determine_config(&squad, &apps, 108, &model);
         let mut memo = ConfigMemo::new();
         for round in 0..2 {
-            let got = determine_config_memo(&mut memo, &squad, &apps, 108);
+            let got = determine_config_memo_model(&mut memo, &squad, &apps, 108, &model);
             prop_assert_eq!(&got.config, &plain.config, "round {}", round);
             prop_assert_eq!(got.predicted, plain.predicted);
             prop_assert_eq!(got.evaluated, plain.evaluated);

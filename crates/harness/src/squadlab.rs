@@ -193,7 +193,7 @@ mod tests {
         let spec = GpuSpec::a100();
         let apps = apps();
         let squad = slice_squad(&apps, &[1, 1], &[30, 30]);
-        let choice = determine_config(&squad, &apps, spec.num_sms);
+        let choice = determine_config(&squad, &apps, spec.num_sms, &spec.channel_model);
         let cfg = match &choice.config {
             c @ bless::ExecConfig::Sp { .. } => c.clone(),
             bless::ExecConfig::Nsp => bless::ExecConfig::Sp {

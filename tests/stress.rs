@@ -177,3 +177,37 @@ fn zero_request_workload_is_a_clean_noop() {
     assert_eq!(sim.run(SimTime::from_secs(1)), RunOutcome::Completed);
     assert_eq!(sim.driver.squads_launched, 0);
 }
+
+#[test]
+fn more_tenants_than_partitions_complete() {
+    // 19 co-running tenants exceed the 18 SM partitions, so a squad of all
+    // of them has no strict split: the determiner must fall back to NSP
+    // under either interference model instead of panicking.
+    const TENANTS: usize = 19;
+    const REQUESTS: usize = 3;
+    for spec in [GpuSpec::a100(), GpuSpec::a100_per_resource()] {
+        let profile = profiler::ProfiledApp::profile(
+            &AppModel::build(ModelKind::ResNet50, Phase::Inference),
+            &spec,
+        );
+        let apps = (0..TENANTS)
+            .map(|_| DeployedApp::new(profile.clone(), 1.0 / TENANTS as f64, None))
+            .collect();
+        let driver = BlessDriver::new(apps, BlessParams::default());
+        let gpu = Gpu::new(spec, HostCosts::paper());
+        let arrivals = (0..TENANTS)
+            .flat_map(|app| {
+                (0..REQUESTS).map(move |req| gpu_sim::RequestArrival {
+                    app,
+                    req,
+                    at: SimTime::ZERO,
+                })
+            })
+            .collect();
+        let mut sim = Simulation::new(gpu, driver, arrivals);
+        assert_eq!(sim.run(SimTime::from_secs(60)), RunOutcome::Completed);
+        for app in 0..TENANTS {
+            assert_eq!(sim.driver.log.completed_count(app), REQUESTS, "app {app}");
+        }
+    }
+}

@@ -39,9 +39,8 @@ fn bless() -> System {
     System::Bless(bless::BlessParams::default())
 }
 
-fn trace_of(sys: &System, seed: u64) -> (harness::RunResult, Vec<TraceEvent>) {
-    let spec = GpuSpec::a100();
-    let (r, events) = run_system_traced(sys, &workload(seed), &spec, SimTime::from_secs(300), None);
+fn trace_of(sys: &System, spec: &GpuSpec, seed: u64) -> (harness::RunResult, Vec<TraceEvent>) {
+    let (r, events) = run_system_traced(sys, &workload(seed), spec, SimTime::from_secs(300), None);
     assert_eq!(r.outcome, RunOutcome::Completed, "{}", sys.name());
     (r, events)
 }
@@ -87,7 +86,7 @@ fn block_digests(events: &[TraceEvent]) -> Vec<u64> {
 #[test]
 #[ignore = "helper: prints the golden constants for this machine-independent stream"]
 fn print_golden_trace_digests() {
-    let (_, events) = trace_of(&bless(), 42);
+    let (_, events) = trace_of(&bless(), &GpuSpec::a100(), 42);
     println!("const GOLDEN_EVENTS: usize = {};", events.len());
     println!(
         "const GOLDEN_TRACE: u64 = {:#018x};",
@@ -99,12 +98,18 @@ fn print_golden_trace_digests() {
         println!("    {b:#018x},");
     }
     println!("];");
+    let (_, events) = trace_of(&bless(), &GpuSpec::a100_per_resource(), 42);
+    println!("const GOLDEN_PR_EVENTS: usize = {};", events.len());
+    println!(
+        "const GOLDEN_PR_TRACE: u64 = {:#018x};",
+        fnv(to_jsonl(&events).as_bytes())
+    );
 }
 
 #[test]
 fn bless_trace_is_byte_identical_across_runs() {
-    let (_, a) = trace_of(&bless(), 42);
-    let (_, b) = trace_of(&bless(), 42);
+    let (_, a) = trace_of(&bless(), &GpuSpec::a100(), 42);
+    let (_, b) = trace_of(&bless(), &GpuSpec::a100(), 42);
     // Event-level comparison first: on divergence, show the first
     // differing event rather than a useless byte offset.
     if a != b {
@@ -130,7 +135,7 @@ fn bless_trace_is_byte_identical_across_runs() {
 
 #[test]
 fn bless_trace_matches_golden_digest() {
-    let (_, events) = trace_of(&bless(), 42);
+    let (_, events) = trace_of(&bless(), &GpuSpec::a100(), 42);
     let got = fnv(to_jsonl(&events).as_bytes());
     if got == GOLDEN_TRACE && events.len() == GOLDEN_EVENTS {
         return;
@@ -157,6 +162,44 @@ fn bless_trace_matches_golden_digest() {
     );
 }
 
+/// Golden event count and digest of the same BLESS run on the
+/// per-resource channel model (`GpuSpec::a100_per_resource`). Its
+/// `ConfigChosen` events cover both the SP and the NSP verdict, so this
+/// pins the channel-aware determiner's choices and `evaluated` counts.
+/// Regenerated by `print_golden_trace_digests`.
+const GOLDEN_PR_EVENTS: usize = 27734;
+const GOLDEN_PR_TRACE: u64 = 0xf049d2d775896a58;
+
+#[test]
+fn bless_per_resource_trace_matches_golden_digest() {
+    let spec = GpuSpec::a100_per_resource();
+    let (r, events) = trace_of(&bless(), &spec, 42);
+    let chosen = |spatial: bool| {
+        events
+            .iter()
+            .filter(|e| matches!(e, TraceEvent::ConfigChosen { spatial: s, .. } if *s == spatial))
+            .count()
+    };
+    assert_eq!(
+        (chosen(true), chosen(false)),
+        (39, 114),
+        "(SP, NSP) verdicts"
+    );
+    let config = ValidatorConfig {
+        num_sms: spec.num_sms,
+        iso_targets: Some(r.iso_targets.iter().map(|d| d.as_nanos() as f64).collect()),
+        fairness_spread: None,
+        max_recovery_ns: None,
+    };
+    TraceValidator::new(config).validate(&events).assert_clean();
+    assert_eq!(events.len(), GOLDEN_PR_EVENTS, "per-resource trace length");
+    assert_eq!(
+        fnv(to_jsonl(&events).as_bytes()),
+        GOLDEN_PR_TRACE,
+        "per-resource trace digest"
+    );
+}
+
 // ---------------------------------------------------------------------------
 // Differential: shared invariants across systems
 // ---------------------------------------------------------------------------
@@ -171,7 +214,7 @@ fn all_systems_pass_shared_invariants() {
         System::Zico,
         System::ReefPlus,
     ] {
-        let (r, events) = trace_of(&sys, 42);
+        let (r, events) = trace_of(&sys, &spec, 42);
         assert!(!events.is_empty(), "{} produced no trace", sys.name());
         let config = ValidatorConfig {
             num_sms: spec.num_sms,
@@ -200,7 +243,7 @@ fn all_systems_pass_shared_invariants() {
 
 #[test]
 fn bless_trace_exercises_every_squad_invariant() {
-    let (_, events) = trace_of(&bless(), 42);
+    let (_, events) = trace_of(&bless(), &GpuSpec::a100(), 42);
     let mut squads = 0usize;
     let mut semi_entries = 0usize;
     let mut restricted_launches = 0usize;
@@ -237,8 +280,8 @@ fn bless_trace_exercises_every_squad_invariant() {
 
 #[test]
 fn bless_bubble_time_at_most_temporal() {
-    let (_, bless_ev) = trace_of(&bless(), 42);
-    let (_, temporal_ev) = trace_of(&System::Temporal, 42);
+    let (_, bless_ev) = trace_of(&bless(), &GpuSpec::a100(), 42);
+    let (_, temporal_ev) = trace_of(&System::Temporal, &GpuSpec::a100(), 42);
     let b = TraceCounters::from_events(&bless_ev);
     let t = TraceCounters::from_events(&temporal_ev);
     // The headline claim, checked directionally on the trace itself:
@@ -261,7 +304,7 @@ fn bless_bubble_time_at_most_temporal() {
 
 #[test]
 fn derived_counters_are_consistent() {
-    let (_, events) = trace_of(&bless(), 42);
+    let (_, events) = trace_of(&bless(), &GpuSpec::a100(), 42);
     let c = TraceCounters::from_events(&events);
     assert!(c.busy_ns > 0);
     assert!(c.bubble_ns <= c.busy_ns);
@@ -356,7 +399,7 @@ fn tracing_does_not_perturb_the_schedule() {
     let spec = GpuSpec::a100();
     let sys = bless();
     let plain = harness::run_system(&sys, &workload(42), &spec, SimTime::from_secs(300), None);
-    let (traced, events) = trace_of(&sys, 42);
+    let (traced, events) = trace_of(&sys, &spec, 42);
     assert!(!events.is_empty());
     for app in 0..2 {
         let a: Vec<_> = plain.log.records(app).to_vec();

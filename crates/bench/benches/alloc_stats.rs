@@ -20,7 +20,8 @@ use std::time::Instant;
 use cluster::{ChaosOptions, ClusterOptions};
 use dnn_models::{AppModel, ModelKind, Phase};
 use gpu_sim::{
-    CtxKind, Gpu, GpuSpec, HostCosts, KernelDesc, KernelTableId, LaneEngine, MergedOutput, QueueId,
+    CtxKind, Gpu, GpuSpec, HostCosts, HwPolicy, KernelDesc, KernelTableId, LaneEngine,
+    MergedOutput, QueueId,
 };
 use harness::cache;
 use harness::experiments::fleet10k;
@@ -62,28 +63,35 @@ fn quick() -> bool {
 /// A warmed engine with two contending default-context queues and a
 /// registered one-entry kernel table.
 fn engine_setup() -> (Gpu, Vec<QueueId>, KernelTableId) {
-    engine_setup_with(GpuSpec::a100())
+    engine_setup_with(GpuSpec::a100(), 1, 54)
 }
 
 /// [`engine_setup`] under an explicit spec (the per-resource channel model
-/// reuses the same harness).
-fn engine_setup_with(spec: GpuSpec) -> (Gpu, Vec<QueueId>, KernelTableId) {
+/// and the `FairShare` policy reuse the same harness), with
+/// `queues_per_ctx` queues on each of the two contexts and kernels capped
+/// at `max_sms` SMs.
+fn engine_setup_with(
+    spec: GpuSpec,
+    queues_per_ctx: usize,
+    max_sms: u32,
+) -> (Gpu, Vec<QueueId>, KernelTableId) {
     let mut gpu = Gpu::new(spec, HostCosts::free());
     gpu.set_slot_recycling(true);
-    let queues: Vec<QueueId> = (0..2)
-        .map(|_| {
-            let ctx = gpu.create_context(CtxKind::Default).expect("ctx");
-            gpu.create_queue(ctx).expect("queue")
-        })
-        .collect();
-    let desc = KernelDesc::compute("k", SimDuration::from_micros(5), 54, 0.2)
+    let mut queues = Vec::new();
+    for _ in 0..2 {
+        let ctx = gpu.create_context(CtxKind::Default).expect("ctx");
+        for _ in 0..queues_per_ctx {
+            queues.push(gpu.create_queue(ctx).expect("queue"));
+        }
+    }
+    let desc = KernelDesc::compute("k", SimDuration::from_micros(5), max_sms, 0.2)
         .with_demand(gpu_sim::ChannelDemand::new(0.2, 0.3, 0.4, 0.1));
     let table = gpu.register_kernel_table(vec![desc].into());
     (gpu, queues, table)
 }
 
-/// Launches `n` short compute kernels by table reference across the two
-/// queues and drains every 8 — the steady-state engine hot loop.
+/// Launches `n` short compute kernels by table reference round-robin
+/// across the queues and drains every 8 — the steady-state engine hot loop.
 fn engine_batch(gpu: &mut Gpu, queues: &[QueueId], table: KernelTableId, n: usize) {
     for i in 0..n {
         let q = queues[i % queues.len()];
@@ -95,21 +103,15 @@ fn engine_batch(gpu: &mut Gpu, queues: &[QueueId], table: KernelTableId, n: usiz
     gpu.drain();
 }
 
-/// Steady-state allocations per kernel for the engine loop: warm the
-/// arena (slots, event heap, queue rings) with one batch, then count.
-fn engine_allocs_per_kernel(n: usize) -> f64 {
-    let (mut gpu, queues, table) = engine_setup();
-    engine_batch(&mut gpu, &queues, table, 4096); // warmup
-    let before = bench::alloc_count();
-    engine_batch(&mut gpu, &queues, table, n);
-    (bench::alloc_count() - before) as f64 / n as f64
-}
-
-/// [`engine_allocs_per_kernel`] under the per-resource channel model: the
-/// 4-channel pressure gather runs on stack arrays and must stay
-/// allocation-free too.
-fn engine_allocs_per_kernel_per_resource(n: usize) -> f64 {
-    let (mut gpu, queues, table) = engine_setup_with(GpuSpec::a100_per_resource());
+/// Steady-state allocations per kernel for the engine loop under `spec`:
+/// warm the arena (slots, event heap, queue rings, allocator scratch) with
+/// one batch, then count. Rows run the default spec, the per-resource
+/// channel model (its 4-channel pressure gather runs on stack arrays) and
+/// the `FairShare` hardware policy (its two-level waterfill works in
+/// engine-held scratch). `queues_per_ctx` and `max_sms` shape the
+/// contention, as in [`engine_setup_with`].
+fn engine_allocs_per_kernel(spec: GpuSpec, queues_per_ctx: usize, max_sms: u32, n: usize) -> f64 {
+    let (mut gpu, queues, table) = engine_setup_with(spec, queues_per_ctx, max_sms);
     engine_batch(&mut gpu, &queues, table, 4096); // warmup
     let before = bench::alloc_count();
     engine_batch(&mut gpu, &queues, table, n);
@@ -347,7 +349,7 @@ fn main() {
     println!("alloc counter active: {counting}");
 
     let engine_n = if quick() { 8192 } else { 65536 };
-    let engine = engine_allocs_per_kernel(engine_n);
+    let engine = engine_allocs_per_kernel(GpuSpec::a100(), 1, 54, engine_n);
     println!("engine steady-state allocs/kernel: {engine:.4}");
     if counting {
         assert!(
@@ -356,12 +358,29 @@ fn main() {
         );
     }
 
-    let engine_pr = engine_allocs_per_kernel_per_resource(engine_n);
+    let engine_pr = engine_allocs_per_kernel(GpuSpec::a100_per_resource(), 1, 54, engine_n);
     println!("engine steady-state allocs/kernel (per-resource model): {engine_pr:.4}");
     if counting {
         assert!(
             engine_pr == 0.0,
             "per-resource hot loop must stay allocation-free in steady state (got {engine_pr:.4}/kernel)"
+        );
+    }
+
+    let fair_share = GpuSpec {
+        hw_policy: HwPolicy::FairShare,
+        ..GpuSpec::a100()
+    };
+    // Two contexts of two queues each, running full-device kernels: the
+    // contexts' demand (4 × 108 SMs) oversubscribes the pool and each
+    // context's two kernels oversubscribe its share, so both waterfill
+    // levels take the sorted, contended path rather than "everyone fits".
+    let engine_fs = engine_allocs_per_kernel(fair_share, 2, 108, engine_n);
+    println!("engine steady-state allocs/kernel (FairShare policy): {engine_fs:.4}");
+    if counting {
+        assert!(
+            engine_fs == 0.0,
+            "FairShare hot loop must stay allocation-free in steady state (got {engine_fs:.4}/kernel)"
         );
     }
 
@@ -485,7 +504,7 @@ fn main() {
         return;
     }
     let json = format!(
-        "{{\n  \"bench\": \"alloc_stats\",\n  \"regenerate\": \"cargo bench -p bench --bench alloc_stats --features count-alloc\",\n  \"count_alloc\": {counting},\n  \"engine\": {{\n    \"kernels\": {engine_n},\n    \"allocs_per_kernel\": {engine:.4},\n    \"allocs_per_kernel_per_resource\": {engine_pr:.4},\n    \"allocs_per_kernel_before\": {BEFORE_ENGINE:.4},\n    \"table_launch_kernels_per_sec\": {kps:.0}\n  }},\n  \"lanes\": {{\n    \"lanes\": 4,\n    \"kernels\": {},\n    \"allocs_per_kernel_seq\": {lane_seq:.4},\n    \"allocs_per_kernel_par\": {lane_par:.4},\n    \"allocs_per_kernel_par_threaded\": {lane_threaded:.4}\n  }},\n  \"cluster\": {{\n    \"gpus\": [{c1}, {c2}],\n    \"allocs_per_gpu_seq\": {cluster_seq:.1},\n    \"allocs_per_gpu_sharded\": {cluster_sharded:.1},\n    \"sharding_overhead_per_gpu\": {shard_overhead:.4}\n  }},\n  \"chaos\": {{\n    \"gpus\": {chaos_gpus},\n    \"span_s\": {},\n    \"horizon_s\": [{}, {}],\n    \"served\": [{chaos_req_h}, {chaos_req_2h}],\n    \"peak_live_mib\": [{:.3}, {:.3}],\n    \"growth_2x_horizon\": {chaos_growth:.3},\n    \"growth_cap\": {CHAOS_GROWTH_CAP}\n  }},\n  \"bless\": {{\n    \"allocs_per_kernel_bless\": {bless_marginal:.4},\n    \"allocs_per_kernel_before\": {BEFORE_BLESS:.4},\n    \"improvement_factor\": {:.1},\n    \"runs\": [[{a1}, {k1}], [{a2}, {k2}]]\n  }}\n}}\n",
+        "{{\n  \"bench\": \"alloc_stats\",\n  \"regenerate\": \"cargo bench -p bench --bench alloc_stats --features count-alloc\",\n  \"count_alloc\": {counting},\n  \"engine\": {{\n    \"kernels\": {engine_n},\n    \"allocs_per_kernel\": {engine:.4},\n    \"allocs_per_kernel_per_resource\": {engine_pr:.4},\n    \"allocs_per_kernel_fair_share\": {engine_fs:.4},\n    \"allocs_per_kernel_before\": {BEFORE_ENGINE:.4},\n    \"table_launch_kernels_per_sec\": {kps:.0}\n  }},\n  \"lanes\": {{\n    \"lanes\": 4,\n    \"kernels\": {},\n    \"allocs_per_kernel_seq\": {lane_seq:.4},\n    \"allocs_per_kernel_par\": {lane_par:.4},\n    \"allocs_per_kernel_par_threaded\": {lane_threaded:.4}\n  }},\n  \"cluster\": {{\n    \"gpus\": [{c1}, {c2}],\n    \"allocs_per_gpu_seq\": {cluster_seq:.1},\n    \"allocs_per_gpu_sharded\": {cluster_sharded:.1},\n    \"sharding_overhead_per_gpu\": {shard_overhead:.4}\n  }},\n  \"chaos\": {{\n    \"gpus\": {chaos_gpus},\n    \"span_s\": {},\n    \"horizon_s\": [{}, {}],\n    \"served\": [{chaos_req_h}, {chaos_req_2h}],\n    \"peak_live_mib\": [{:.3}, {:.3}],\n    \"growth_2x_horizon\": {chaos_growth:.3},\n    \"growth_cap\": {CHAOS_GROWTH_CAP}\n  }},\n  \"bless\": {{\n    \"allocs_per_kernel_bless\": {bless_marginal:.4},\n    \"allocs_per_kernel_before\": {BEFORE_BLESS:.4},\n    \"improvement_factor\": {:.1},\n    \"runs\": [[{a1}, {k1}], [{a2}, {k2}]]\n  }}\n}}\n",
         lane_n * 4,
         chaos_span.as_secs_f64(),
         chaos_h.as_secs_f64(),

@@ -10,10 +10,12 @@
 //! The headline figure is the **sharding speedup**: monolithic drain
 //! time over the lane engine's sequential merge loop on the same
 //! decoupled workload. It is *algorithmic*, not thread parallelism —
-//! the monolithic engine settles every queue on every event, so its
-//! per-event cost grows with the device's total queue count, while each
-//! lane only scans its own queues. That gain holds on a single-core
-//! host; the parallel-drain timings are recorded alongside with the
+//! on every allocation-changing event the monolithic engine re-divides
+//! the SMs among all running kernels of the device and re-rates each
+//! one, and every event pops from one heap holding the whole device's
+//! pending events, while a lane does both for its own kernels only.
+//! (Both engines settle only running queues, so idle queues cost
+//! neither anything.) That gain holds on a single-core host; the parallel-drain timings are recorded alongside with the
 //! worker count, under the same single-worker honesty convention as
 //! `BENCH_cluster.json`.
 //!

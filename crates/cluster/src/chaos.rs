@@ -1016,6 +1016,47 @@ fn incarnation_gpu(spec: &GpuSpec) -> Gpu {
     gpu
 }
 
+/// Appends one recovery to the record list and (optionally) the fleet
+/// trace stream.
+#[allow(clippy::too_many_arguments)]
+fn record_recovery(
+    e: &Evacuee,
+    from: usize,
+    to: usize,
+    kind: FaultKind,
+    at: SimTime,
+    resume: SimTime,
+    migrations: &mut Vec<MigrationRecord>,
+    fleet_events: Option<&mut Vec<TraceEvent>>,
+) {
+    migrations.push(MigrationRecord {
+        tenant: e.tenant,
+        from,
+        to,
+        kind,
+        at,
+        resumed_at: resume,
+        in_flight: e.had_in_flight,
+        queued: (e.outstanding.len() - usize::from(e.had_in_flight)) as u32,
+        future: e.future.len() as u32,
+    });
+    if let Some(events) = fleet_events {
+        events.push(TraceEvent::TenantEvacuated {
+            at,
+            gpu: from as u32,
+            app: e.tenant as u32,
+            in_flight: u32::from(e.had_in_flight),
+            queued: (e.outstanding.len() - usize::from(e.had_in_flight)) as u32,
+        });
+        events.push(TraceEvent::TenantRestored {
+            at: resume,
+            gpu: to as u32,
+            app: e.tenant as u32,
+            recovery_ns: resume.duration_since(at).as_nanos(),
+        });
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -1617,46 +1658,5 @@ mod tests {
                 "pinned-evacuation digest drifted at workers={workers}"
             );
         }
-    }
-}
-
-/// Appends one recovery to the record list and (optionally) the fleet
-/// trace stream.
-#[allow(clippy::too_many_arguments)]
-fn record_recovery(
-    e: &Evacuee,
-    from: usize,
-    to: usize,
-    kind: FaultKind,
-    at: SimTime,
-    resume: SimTime,
-    migrations: &mut Vec<MigrationRecord>,
-    fleet_events: Option<&mut Vec<TraceEvent>>,
-) {
-    migrations.push(MigrationRecord {
-        tenant: e.tenant,
-        from,
-        to,
-        kind,
-        at,
-        resumed_at: resume,
-        in_flight: e.had_in_flight,
-        queued: (e.outstanding.len() - usize::from(e.had_in_flight)) as u32,
-        future: e.future.len() as u32,
-    });
-    if let Some(events) = fleet_events {
-        events.push(TraceEvent::TenantEvacuated {
-            at,
-            gpu: from as u32,
-            app: e.tenant as u32,
-            in_flight: u32::from(e.had_in_flight),
-            queued: (e.outstanding.len() - usize::from(e.had_in_flight)) as u32,
-        });
-        events.push(TraceEvent::TenantRestored {
-            at: resume,
-            gpu: to as u32,
-            app: e.tenant as u32,
-            recovery_ns: resume.duration_since(at).as_nanos(),
-        });
     }
 }

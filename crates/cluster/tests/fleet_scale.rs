@@ -8,7 +8,7 @@
 //! at worker counts 1 and 4. The pinned digest catches any behavioral
 //! drift in that path; the cross-worker equality catches nondeterminism.
 
-use cluster::{run_cluster_stream, ClusterOptions, FleetSummary};
+use cluster::{run_cluster_stream, ClusterOptions, FleetSummary, PlacementError};
 use dnn_models::{micro, AppModel, ModelKind, Phase};
 use gpu_sim::GpuSpec;
 use profiler::ProfiledApp;
@@ -20,7 +20,7 @@ const GPUS: usize = 10_000;
 /// Golden fleet digest for the seeded 10k-GPU smoke run below.
 const GOLDEN_10K_DIGEST: u64 = 0x0ec5_96af_01ff_9800;
 
-fn smoke_run(workers: usize) -> FleetSummary {
+fn smoke_run(workers: usize) -> Result<FleetSummary, PlacementError> {
     let spec = GpuSpec::a100();
     let model = AppModel {
         kind: ModelKind::Vgg11,
@@ -57,16 +57,15 @@ fn smoke_run(workers: usize) -> FleetSummary {
             ..ClusterOptions::default()
         },
     )
-    .expect("10k fleet placement")
 }
 
 #[test]
 fn ten_thousand_gpu_smoke_digest_is_pinned() {
-    let seq = smoke_run(1);
+    let seq = smoke_run(1).expect("10k fleet placement");
     assert_eq!(seq.completed_gpus, GPUS);
     assert_eq!(seq.arrived_requests, 2 * GPUS as u64);
     assert!(seq.all_completed(), "all requests must finish by horizon");
-    let par = smoke_run(4);
+    let par = smoke_run(4).expect("10k fleet placement");
     assert_eq!(seq, par, "streamed summary must not depend on workers");
     assert_eq!(
         seq.digest, GOLDEN_10K_DIGEST,

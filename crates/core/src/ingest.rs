@@ -339,7 +339,12 @@ impl IngestStage {
             let mut empty_bound = u64::MAX;
             for i in 0..self.lanes.len() {
                 let lane = &mut self.lanes[i];
+                let mut watermark = u64::MAX;
                 if lane.pos == lane.staged.len() {
+                    // Read the watermark before draining: a mark read
+                    // after an empty drain may already cover arrivals
+                    // the producer pushed in between, still in the ring.
+                    watermark = lane.rx.watermark();
                     lane.staged.clear();
                     lane.pos = 0;
                     lane.rx.drain_into(&mut lane.staged, self.drain_batch);
@@ -352,7 +357,7 @@ impl IngestStage {
                     }
                     // Exclusive watermark: future pushes are >= it, so
                     // only arrivals *strictly before* it are settled.
-                    None => empty_bound = empty_bound.min(lane.rx.watermark()),
+                    None => empty_bound = empty_bound.min(watermark),
                 }
             }
             match best {

@@ -36,34 +36,46 @@ pub struct Demand {
 /// Panics (debug assertions) if any weight is non-positive or any cap is
 /// negative or non-finite.
 pub fn weighted_waterfill(capacity: f64, demands: &[Demand]) -> Vec<f64> {
+    let mut alloc = Vec::new();
+    waterfill_into(capacity, demands, &mut alloc, &mut Vec::new());
+    alloc
+}
+
+/// [`weighted_waterfill`] into `alloc` (cleared first), with `order` as
+/// sort scratch; both keep their capacity across calls.
+fn waterfill_into(capacity: f64, demands: &[Demand], alloc: &mut Vec<f64>, order: &mut Vec<usize>) {
     debug_assert!(capacity >= 0.0 && capacity.is_finite());
     for d in demands {
         debug_assert!(d.weight > 0.0 && d.weight.is_finite(), "bad weight {d:?}");
         debug_assert!(d.cap >= 0.0 && d.cap.is_finite(), "bad cap {d:?}");
     }
+    alloc.clear();
     let n = demands.len();
     if n == 0 {
-        return Vec::new();
+        return;
     }
     let total_cap: f64 = demands.iter().map(|d| d.cap).sum();
     let target = capacity.min(total_cap);
     if target <= 0.0 {
-        return vec![0.0; n];
+        alloc.resize(n, 0.0);
+        return;
     }
     if total_cap <= capacity {
         // Everyone fits at their cap.
-        return demands.iter().map(|d| d.cap).collect();
+        alloc.extend(demands.iter().map(|d| d.cap));
+        return;
     }
 
     // Sort items by the water level at which they saturate (cap / weight).
-    let mut order: Vec<usize> = (0..n).collect();
+    order.clear();
+    order.extend(0..n);
     order.sort_by(|&a, &b| {
         let ra = demands[a].cap / demands[a].weight;
         let rb = demands[b].cap / demands[b].weight;
         ra.partial_cmp(&rb).unwrap_or(std::cmp::Ordering::Equal)
     });
 
-    let mut alloc = vec![0.0; n];
+    alloc.resize(n, 0.0);
     let mut remaining = target;
     let mut active_weight: f64 = demands.iter().map(|d| d.weight).sum();
     for (pos, &i) in order.iter().enumerate() {
@@ -79,17 +91,16 @@ pub fn weighted_waterfill(capacity: f64, demands: &[Demand]) -> Vec<f64> {
                 for &j in &order[pos + 1..] {
                     alloc[j] = 0.0;
                 }
-                return alloc;
+                return;
             }
         } else {
             // All remaining items share the final level proportionally.
             for &j in &order[pos..] {
                 alloc[j] = (demands[j].weight * level).min(demands[j].cap);
             }
-            return alloc;
+            return;
         }
     }
-    alloc
 }
 
 /// A runnable compute kernel's demand, as seen by the allocator.
@@ -105,7 +116,7 @@ pub struct KernelDemand {
 
 /// A context group: a set of kernels sharing one SM-affinity limit and one
 /// SM pool.
-#[derive(Clone, Copy, Debug)]
+#[derive(Clone, Copy, Debug, PartialEq)]
 pub struct CtxGroup {
     /// Which pool the context draws from (0 = shared pool; MIG partitions
     /// get their own pools).
@@ -126,72 +137,121 @@ pub fn allocate_sms(
     kernels: &[KernelDemand],
 ) -> Vec<f64> {
     let mut alloc = Vec::new();
-    allocate_sms_into(&mut alloc, pool_capacity, groups, kernels);
+    allocate_sms_into(
+        &mut alloc,
+        pool_capacity,
+        groups,
+        kernels,
+        &mut AllocScratch::default(),
+    );
     alloc
 }
 
-/// Like [`allocate_sms`], but writes into a caller-provided buffer so a hot
-/// caller (the engine's reallocation path) can reuse its allocation across
-/// calls instead of heap-allocating on every event.
+/// Working buffers of [`allocate_sms_into`]. A caller that keeps one
+/// across calls makes the allocation allocation-free once the buffers
+/// reach their high-water mark.
+#[derive(Debug, Default)]
+pub struct AllocScratch {
+    /// Kernel indices bucketed by context group, in kernel order: group
+    /// `g` owns `members[start[g]..start[g + 1]]`.
+    members: Vec<usize>,
+    start: Vec<usize>,
+    /// Per-group write cursor while bucketing.
+    cursor: Vec<usize>,
+    group_ids: Vec<usize>,
+    group_demands: Vec<Demand>,
+    group_alloc: Vec<f64>,
+    kernel_demands: Vec<Demand>,
+    kernel_alloc: Vec<f64>,
+    order: Vec<usize>,
+}
+
+/// Like [`allocate_sms`], but writes into a caller-provided buffer and
+/// works in caller-held `scratch`, so a hot caller (the engine's
+/// reallocation path) can reuse both across calls instead of
+/// heap-allocating on every event.
 pub fn allocate_sms_into(
     alloc: &mut Vec<f64>,
     pool_capacity: &[f64],
     groups: &[CtxGroup],
     kernels: &[KernelDemand],
+    scratch: &mut AllocScratch,
 ) {
     alloc.clear();
     alloc.resize(kernels.len(), 0.0);
     if kernels.is_empty() {
         return;
     }
+    let AllocScratch {
+        members,
+        start,
+        cursor,
+        group_ids,
+        group_demands,
+        group_alloc,
+        kernel_demands,
+        kernel_alloc,
+        order,
+    } = scratch;
 
-    // Bucket kernels by context group, preserving order for determinism.
-    let mut members: Vec<Vec<usize>> = vec![Vec::new(); groups.len()];
-    for (slot, k) in kernels.iter().enumerate() {
+    // Bucket kernels by context group, preserving order for determinism
+    // (a counting sort).
+    start.clear();
+    start.resize(groups.len() + 1, 0);
+    for k in kernels {
         assert!(k.ctx_group < groups.len(), "unknown context group");
         debug_assert!(
             groups[k.ctx_group].pool < pool_capacity.len(),
             "context group references an unknown pool"
         );
-        members[k.ctx_group].push(slot);
+        start[k.ctx_group + 1] += 1;
     }
+    for g in 0..groups.len() {
+        start[g + 1] += start[g];
+    }
+    cursor.clear();
+    cursor.extend_from_slice(&start[..groups.len()]);
+    members.clear();
+    members.resize(kernels.len(), 0);
+    for (slot, k) in kernels.iter().enumerate() {
+        members[cursor[k.ctx_group]] = slot;
+        cursor[k.ctx_group] += 1;
+    }
+    let members_of = |g: usize| &members[start[g]..start[g + 1]];
 
     for (pool, &capacity) in pool_capacity.iter().enumerate() {
         // Level 1: waterfill this pool's capacity across its non-empty
         // context groups.
-        let group_ids: Vec<usize> = (0..groups.len())
-            .filter(|&g| groups[g].pool == pool && !members[g].is_empty())
-            .collect();
+        group_ids.clear();
+        group_ids.extend(
+            (0..groups.len()).filter(|&g| groups[g].pool == pool && !members_of(g).is_empty()),
+        );
         if group_ids.is_empty() {
             continue;
         }
-        let group_demands: Vec<Demand> = group_ids
-            .iter()
-            .map(|&g| {
-                let useful: f64 = members[g]
-                    .iter()
-                    .map(|&slot| kernels[slot].kernel_cap)
-                    .sum();
-                Demand {
-                    weight: members[g].len() as f64,
-                    cap: useful.min(groups[g].sm_cap),
-                }
-            })
-            .collect();
-        let group_alloc = weighted_waterfill(capacity, &group_demands);
+        group_demands.clear();
+        group_demands.extend(group_ids.iter().map(|&g| {
+            let useful: f64 = members_of(g)
+                .iter()
+                .map(|&slot| kernels[slot].kernel_cap)
+                .sum();
+            Demand {
+                weight: members_of(g).len() as f64,
+                cap: useful.min(groups[g].sm_cap),
+            }
+        }));
+        waterfill_into(capacity, group_demands, group_alloc, order);
 
         // Level 2: waterfill each group's share equally across its kernels.
         for (gi, &g) in group_ids.iter().enumerate() {
-            let kernel_demands: Vec<Demand> = members[g]
-                .iter()
-                .map(|&slot| Demand {
-                    weight: 1.0,
-                    cap: kernels[slot].kernel_cap,
-                })
-                .collect();
-            let kalloc = weighted_waterfill(group_alloc[gi], &kernel_demands);
-            for (ki, &slot) in members[g].iter().enumerate() {
-                alloc[slot] = kalloc[ki];
+            kernel_demands.clear();
+            kernel_demands.extend(members_of(g).iter().map(|&slot| Demand {
+                weight: 1.0,
+                cap: kernels[slot].kernel_cap,
+            }));
+            waterfill_into(group_alloc[gi], kernel_demands, kernel_alloc, order);
+            for (ki, &slot) in members_of(g).iter().enumerate() {
+                alloc[slot] = kernel_alloc[ki];
             }
         }
     }
@@ -207,6 +267,59 @@ mod tests {
             .iter()
             .map(|&(weight, cap)| Demand { weight, cap })
             .collect()
+    }
+
+    /// The allocating implementation this module shipped before the
+    /// scratch-buffer rewrite, kept as a differential twin.
+    fn allocate_sms_allocating(
+        pool_capacity: &[f64],
+        groups: &[CtxGroup],
+        kernels: &[KernelDemand],
+    ) -> Vec<f64> {
+        let mut alloc = vec![0.0; kernels.len()];
+        if kernels.is_empty() {
+            return alloc;
+        }
+        let mut members: Vec<Vec<usize>> = vec![Vec::new(); groups.len()];
+        for (slot, k) in kernels.iter().enumerate() {
+            members[k.ctx_group].push(slot);
+        }
+        for (pool, &capacity) in pool_capacity.iter().enumerate() {
+            let group_ids: Vec<usize> = (0..groups.len())
+                .filter(|&g| groups[g].pool == pool && !members[g].is_empty())
+                .collect();
+            if group_ids.is_empty() {
+                continue;
+            }
+            let group_demands: Vec<Demand> = group_ids
+                .iter()
+                .map(|&g| {
+                    let useful: f64 = members[g]
+                        .iter()
+                        .map(|&slot| kernels[slot].kernel_cap)
+                        .sum();
+                    Demand {
+                        weight: members[g].len() as f64,
+                        cap: useful.min(groups[g].sm_cap),
+                    }
+                })
+                .collect();
+            let group_alloc = weighted_waterfill(capacity, &group_demands);
+            for (gi, &g) in group_ids.iter().enumerate() {
+                let kernel_demands: Vec<Demand> = members[g]
+                    .iter()
+                    .map(|&slot| Demand {
+                        weight: 1.0,
+                        cap: kernels[slot].kernel_cap,
+                    })
+                    .collect();
+                let kalloc = weighted_waterfill(group_alloc[gi], &kernel_demands);
+                for (ki, &slot) in members[g].iter().enumerate() {
+                    alloc[slot] = kalloc[ki];
+                }
+            }
+        }
+        alloc
     }
 
     #[test]
@@ -398,6 +511,39 @@ mod tests {
             let target = capacity.min(ds.iter().map(|d| d.cap).sum::<f64>());
             prop_assert!((total - target).abs() < 1e-6 * (1.0 + target),
                 "total {} target {}", total, target);
+        }
+
+        /// The scratch-buffer allocator is bit-identical to the allocating
+        /// twin, with one scratch reused across calls of different shapes.
+        #[test]
+        fn prop_scratch_allocation_matches_allocating_twin(
+            calls in proptest::collection::vec((
+                proptest::collection::vec(1.0f64..120.0, 1..4),
+                proptest::collection::vec((0usize..6, 1.0f64..120.0), 0..24),
+                proptest::collection::vec(proptest::option::of(1.0f64..120.0), 6),
+            ), 1..5),
+        ) {
+            let mut scratch = AllocScratch::default();
+            let mut alloc = vec![7.0];
+            for (pools, kernel_specs, ctx_caps) in calls {
+                let groups: Vec<CtxGroup> = ctx_caps
+                    .iter()
+                    .enumerate()
+                    .map(|(i, cap)| CtxGroup {
+                        pool: i % pools.len(),
+                        sm_cap: cap.unwrap_or(f64::INFINITY),
+                    })
+                    .collect();
+                let kernels: Vec<KernelDemand> = kernel_specs
+                    .iter()
+                    .enumerate()
+                    .map(|(id, &(g, cap))| KernelDemand { id, ctx_group: g, kernel_cap: cap })
+                    .collect();
+                allocate_sms_into(&mut alloc, &pools, &groups, &kernels, &mut scratch);
+                let twin = allocate_sms_allocating(&pools, &groups, &kernels);
+                let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+                prop_assert_eq!(bits(&alloc), bits(&twin));
+            }
         }
 
         /// Two-level allocation never exceeds pool capacity, context caps,

@@ -28,7 +28,7 @@ use std::sync::Arc;
 use sim_core::trace::{TraceEvent, TraceSink};
 use sim_core::{EventQueue, FaultPlan, SimDuration, SimTime};
 
-use crate::alloc::{allocate_sms_into, CtxGroup, KernelDemand};
+use crate::alloc::{allocate_sms_into, AllocScratch, CtxGroup, KernelDemand};
 use crate::channel::{Channel, ChannelDemand, ChannelModel, NUM_CHANNELS};
 use crate::kernel::{KernelDesc, KernelKind, KernelTableId};
 use crate::spec::{GpuSpec, HostCosts, HwPolicy};
@@ -63,6 +63,18 @@ pub enum CtxKind {
         /// Number of SMs reserved for this partition.
         sm_count: u32,
     },
+}
+
+impl CtxKind {
+    /// The SM cap the context puts on its kernels (`f64::INFINITY` when
+    /// unrestricted).
+    fn sm_cap(self) -> f64 {
+        match self {
+            CtxKind::Default => f64::INFINITY,
+            CtxKind::MpsAffinity { sm_cap } => sm_cap as f64,
+            CtxKind::MigPartition { sm_count } => sm_count as f64,
+        }
+    }
 }
 
 /// Errors returned by resource-management calls.
@@ -131,13 +143,6 @@ pub enum InstState {
     /// Killed by an injected context crash before completing; the host must
     /// re-submit it (reported through [`Gpu::take_failed`]).
     Failed,
-}
-
-#[derive(Clone, Debug)]
-struct Context {
-    kind: CtxKind,
-    /// Pool index: 0 is the shared pool; each MIG partition gets its own.
-    pool: usize,
 }
 
 #[derive(Debug)]
@@ -246,7 +251,7 @@ pub struct TimelineSegment {
     pub sms: f64,
 }
 
-#[derive(Debug)]
+#[derive(Clone, Copy, Debug)]
 enum DevEv {
     /// A launched kernel reaches its device queue.
     Arrive { slot: usize },
@@ -350,8 +355,17 @@ pub struct Gpu {
     costs: HostCosts,
     now: SimTime,
     host_free: SimTime,
-    contexts: Vec<Context>,
+    contexts: Vec<CtxKind>,
+    /// The allocator's view of each context (its pool and SM cap), kept in
+    /// step with `contexts` by `create_context` and `set_mps_cap` so
+    /// reallocation never rebuilds it.
+    groups: Vec<CtxGroup>,
     queues: Vec<Queue>,
+    /// Ascending indices of the queues whose head is running, kept by
+    /// `try_start_head`, `finish` and `kill`. Settling and the
+    /// reallocation gather walk only these; ascending queue order keeps
+    /// every float sum and completion push in full-scan order.
+    running: Vec<u32>,
     instances: Vec<Instance>,
     events: EventQueue<DevEv>,
     epoch: u64,
@@ -398,15 +412,32 @@ struct ReallocScratch {
     compute: Vec<usize>,
     h2d: Vec<usize>,
     d2h: Vec<usize>,
-    groups: Vec<CtxGroup>,
     alloc: Vec<f64>,
     order: Vec<usize>,
-    pool_used: Vec<f64>,
+    pools: Vec<PoolTally>,
+    /// Per-context SMs granted so far and whether the context has a
+    /// runnable kernel. Entries are reset only for the contexts of running
+    /// kernels, so the others may hold stale values.
     ctx_used: Vec<f64>,
     ctx_runnable: Vec<bool>,
-    reserved: Vec<f64>,
     pokes: Vec<SimTime>,
     demands: Vec<KernelDemand>,
+    /// Allocator buffers for [`HwPolicy::FairShare`], boxed on first use:
+    /// inline, their nine empty `Vec`s would grow every `Gpu` by 208 bytes
+    /// (1096 → 1304 on x86-64), greedy-sticky devices included.
+    fair: Option<Box<AllocScratch>>,
+}
+
+/// One pool's running totals during `sticky_allocate`.
+#[derive(Clone, Copy, Default)]
+struct PoolTally {
+    /// SMs granted so far.
+    used: f64,
+    /// SMs structurally reserved by finite-cap contexts with runnable
+    /// kernels.
+    reserved: f64,
+    /// Contexts with runnable kernels.
+    runnable: u32,
 }
 
 impl Gpu {
@@ -419,7 +450,9 @@ impl Gpu {
             now: SimTime::ZERO,
             host_free: SimTime::ZERO,
             contexts: Vec::new(),
+            groups: Vec::new(),
             queues: Vec::new(),
+            running: Vec::new(),
             instances: Vec::new(),
             events: EventQueue::new(),
             epoch: 0,
@@ -641,7 +674,11 @@ impl Gpu {
             }
         };
         let id = CtxId(self.contexts.len() as u32);
-        self.contexts.push(Context { kind, pool });
+        self.contexts.push(kind);
+        self.groups.push(CtxGroup {
+            pool,
+            sm_cap: kind.sm_cap(),
+        });
         if self.trace.is_some() {
             if let CtxKind::MpsAffinity { sm_cap } = kind {
                 self.trace_emit(TraceEvent::PartitionSet {
@@ -677,14 +714,15 @@ impl Gpu {
             .contexts
             .get_mut(ctx.0 as usize)
             .ok_or(GpuError::UnknownContext(ctx))?;
-        match c.kind {
+        match c {
             CtxKind::MpsAffinity { .. } => {
                 if sm_cap == 0 || sm_cap > self.spec.num_sms {
                     return Err(GpuError::InvalidOperation(
                         "MPS affinity cap must be in 1..=num_sms",
                     ));
                 }
-                c.kind = CtxKind::MpsAffinity { sm_cap };
+                *c = CtxKind::MpsAffinity { sm_cap };
+                self.groups[ctx.0 as usize].sm_cap = sm_cap as f64;
                 if self.trace.is_some() {
                     self.trace_emit(TraceEvent::PartitionSet {
                         at: self.now,
@@ -798,10 +836,7 @@ impl Gpu {
             self.next_trace_seq += 1;
             let (app, kernel) = crate::sim::decode_tag(tag);
             let ctx = self.queues[queue.0 as usize].ctx;
-            let restricted = matches!(
-                self.contexts[ctx.0 as usize].kind,
-                CtxKind::MpsAffinity { .. }
-            );
+            let restricted = matches!(self.contexts[ctx.0 as usize], CtxKind::MpsAffinity { .. });
             self.trace_emit(TraceEvent::KernelLaunch {
                 at: self.now,
                 seq,
@@ -1294,6 +1329,7 @@ impl Gpu {
             InstState::Running => {
                 if self.queues[q].running == Some(slot) {
                     self.queues[q].running = None;
+                    self.unmark_running(q);
                     was_head = true;
                 }
             }
@@ -1400,6 +1436,7 @@ impl Gpu {
         self.live_instances -= 1;
         debug_assert_eq!(self.queues[q].running, Some(slot));
         self.queues[q].running = None;
+        self.unmark_running(q);
         let started = self.try_start_head(q);
         // Compute allocation depends only on the running compute set, DMA
         // rates only on the per-direction memcpy counts: recompute just the
@@ -1416,6 +1453,8 @@ impl Gpu {
         }
         let slot = self.queues[q].waiting.pop_front()?;
         self.queues[q].running = Some(slot);
+        let pos = self.running.partition_point(|&r| (r as usize) < q);
+        self.running.insert(pos, q as u32);
         let inst = &mut self.instances[slot];
         inst.state = InstState::Running;
         inst.run_seq = self.next_run_seq;
@@ -1434,6 +1473,13 @@ impl Gpu {
         Some(slot)
     }
 
+    /// Drops queue `q` from the running-queue index.
+    fn unmark_running(&mut self, q: usize) {
+        if let Ok(pos) = self.running.binary_search(&(q as u32)) {
+            self.running.remove(pos);
+        }
+    }
+
     /// Integrates all running work from `last_settle` to `t` and clamps
     /// remaining work at zero. Records timeline segments and busy
     /// integrals.
@@ -1442,7 +1488,8 @@ impl Gpu {
             return;
         }
         let dt = t.duration_since(self.last_settle).as_nanos() as f64;
-        for q in 0..self.queues.len() {
+        for i in 0..self.running.len() {
+            let q = self.running[i] as usize;
             let Some(slot) = self.queues[q].running else {
                 continue;
             };
@@ -1523,25 +1570,26 @@ impl Gpu {
         compute.clear();
         h2d.clear();
         d2h.clear();
-        for q in &self.queues {
-            if let Some(slot) = q.running {
-                match self.instances[slot].shape.kind {
-                    KernelKind::Compute { .. } => {
-                        if do_compute {
-                            compute.push(slot);
-                        }
+        for &q in &self.running {
+            let Some(slot) = self.queues[q as usize].running else {
+                continue;
+            };
+            match self.instances[slot].shape.kind {
+                KernelKind::Compute { .. } => {
+                    if do_compute {
+                        compute.push(slot);
                     }
-                    KernelKind::MemcpyH2D { .. } => {
-                        memcpy_streams += 1;
-                        if do_dma {
-                            h2d.push(slot);
-                        }
+                }
+                KernelKind::MemcpyH2D { .. } => {
+                    memcpy_streams += 1;
+                    if do_dma {
+                        h2d.push(slot);
                     }
-                    KernelKind::MemcpyD2H { .. } => {
-                        memcpy_streams += 1;
-                        if do_dma {
-                            d2h.push(slot);
-                        }
+                }
+                KernelKind::MemcpyD2H { .. } => {
+                    memcpy_streams += 1;
+                    if do_dma {
+                        d2h.push(slot);
                     }
                 }
             }
@@ -1549,16 +1597,6 @@ impl Gpu {
 
         if do_compute {
             // SM allocation for compute kernels, per the hardware policy.
-            let mut groups = std::mem::take(&mut self.scratch.groups);
-            groups.clear();
-            groups.extend(self.contexts.iter().map(|c| CtxGroup {
-                pool: c.pool,
-                sm_cap: match c.kind {
-                    CtxKind::Default => f64::INFINITY,
-                    CtxKind::MpsAffinity { sm_cap } => sm_cap as f64,
-                    CtxKind::MigPartition { sm_count } => sm_count as f64,
-                },
-            }));
             let mut alloc = std::mem::take(&mut self.scratch.alloc);
             match self.spec.hw_policy {
                 HwPolicy::FairShare => {
@@ -1572,10 +1610,16 @@ impl Gpu {
                             kernel_cap: inst.shape.max_sms as f64,
                         }
                     }));
-                    allocate_sms_into(&mut alloc, &self.pool_capacity, &groups, &demands);
+                    allocate_sms_into(
+                        &mut alloc,
+                        &self.pool_capacity,
+                        &self.groups,
+                        &demands,
+                        self.scratch.fair.get_or_insert_with(Box::default),
+                    );
                     self.scratch.demands = demands;
                 }
-                HwPolicy::GreedySticky => self.sticky_allocate(&compute, &groups, &mut alloc),
+                HwPolicy::GreedySticky => self.sticky_allocate(&compute, &mut alloc),
             }
 
             // Interference: each kernel is slowed by the traffic of its
@@ -1635,7 +1679,6 @@ impl Gpu {
                     }
                 }
             }
-            self.scratch.groups = groups;
             self.scratch.alloc = alloc;
         }
 
@@ -1707,20 +1750,59 @@ impl Gpu {
     /// 3. A kernel that has no SMs yet only begins once at least one full
     ///    SM is free — two full-GPU kernels therefore serialize instead of
     ///    fluidly sharing.
-    fn sticky_allocate(&mut self, compute: &[usize], groups: &[CtxGroup], alloc: &mut Vec<f64>) {
+    ///
+    /// Runs in O(running kernels + pools): only the running kernels'
+    /// contexts are reset and consulted. The reserved-cap sums may
+    /// accumulate in any order because the caps are integer-valued (`u32`
+    /// SM counts), so every partial sum is exact; every other accumulation
+    /// follows the dispatch order.
+    fn sticky_allocate(&mut self, compute: &[usize], alloc: &mut Vec<f64>) {
         let n_pools = self.pool_capacity.len();
-        let mut pool_used = std::mem::take(&mut self.scratch.pool_used);
-        pool_used.clear();
-        pool_used.resize(n_pools, 0.0);
+        let mut pools = std::mem::take(&mut self.scratch.pools);
+        pools.clear();
+        pools.reserve_exact(n_pools);
+        pools.resize(n_pools, PoolTally::default());
+        let n_ctx = self.groups.len();
         let mut ctx_used = std::mem::take(&mut self.scratch.ctx_used);
-        ctx_used.clear();
-        ctx_used.resize(groups.len(), 0.0);
+        let mut ctx_runnable = std::mem::take(&mut self.scratch.ctx_runnable);
+        if ctx_used.len() < n_ctx {
+            ctx_used.resize(n_ctx, 0.0);
+            ctx_runnable.resize(n_ctx, false);
+        }
+        let ctx_of = |gpu: &Self, slot: usize| {
+            gpu.queues[gpu.instances[slot].queue.0 as usize].ctx.0 as usize
+        };
+        for &slot in compute {
+            let ctx = ctx_of(self, slot);
+            ctx_used[ctx] = 0.0;
+            ctx_runnable[ctx] = false;
+        }
+        // SMs structurally reserved per pool by finite-cap contexts that
+        // currently have runnable kernels, and the runnable contexts per
+        // pool. SM-affinity caps are visible reservations: a kernel can
+        // count on the SMs beyond them, so its block waves launch there
+        // immediately. Unrestricted co-runners reserve nothing
+        // structurally — they contend for the whole pool, and
+        // dispatch-order alternation decides (Fig. 7a).
+        for &slot in compute {
+            let ctx = ctx_of(self, slot);
+            if !ctx_runnable[ctx] {
+                ctx_runnable[ctx] = true;
+                let g = self.groups[ctx];
+                pools[g.pool].runnable += 1;
+                if g.sm_cap.is_finite() {
+                    pools[g.pool].reserved += g.sm_cap;
+                }
+            }
+        }
 
         // Dispatch order: earlier-started kernels have priority.
         let mut order = std::mem::take(&mut self.scratch.order);
         order.clear();
         order.extend(0..compute.len());
-        order.sort_by_key(|&i| self.instances[compute[i]].run_seq);
+        if compute.len() > 1 {
+            order.sort_by_key(|&i| self.instances[compute[i]].run_seq);
+        }
 
         alloc.clear();
         alloc.resize(compute.len(), 0.0);
@@ -1728,40 +1810,18 @@ impl Gpu {
         for &i in &order {
             let slot = compute[i];
             let inst = &self.instances[slot];
-            let ctx = self.queues[inst.queue.0 as usize].ctx.0 as usize;
-            let pool = groups[ctx].pool;
+            let ctx = ctx_of(self, slot);
+            let group = self.groups[ctx];
+            let pool = group.pool;
             let keep = inst
                 .alloc_sms
                 .min(inst.shape.max_sms as f64)
-                .min((groups[ctx].sm_cap - ctx_used[ctx]).max(0.0))
-                .min((self.pool_capacity[pool] - pool_used[pool]).max(0.0));
+                .min((group.sm_cap - ctx_used[ctx]).max(0.0))
+                .min((self.pool_capacity[pool] - pools[pool].used).max(0.0));
             alloc[i] = keep;
             ctx_used[ctx] += keep;
-            pool_used[pool] += keep;
+            pools[pool].used += keep;
         }
-        // SMs structurally reserved per pool by *other* finite-cap
-        // contexts that currently have runnable kernels. SM-affinity caps
-        // are visible reservations: a kernel can count on the SMs beyond
-        // them, so its block waves launch there immediately. Unrestricted
-        // co-runners reserve nothing structurally — they contend for the
-        // whole pool, and dispatch-order alternation decides (Fig. 7a).
-        let mut ctx_has_runnable = std::mem::take(&mut self.scratch.ctx_runnable);
-        ctx_has_runnable.clear();
-        ctx_has_runnable.resize(groups.len(), false);
-        for &slot in compute {
-            let ctx = self.queues[self.instances[slot].queue.0 as usize].ctx.0 as usize;
-            ctx_has_runnable[ctx] = true;
-        }
-        let mut finite_cap_reserved = std::mem::take(&mut self.scratch.reserved);
-        finite_cap_reserved.clear();
-        finite_cap_reserved.extend((0..self.pool_capacity.len()).map(|pool| {
-            groups
-                .iter()
-                .enumerate()
-                .filter(|&(c, g)| g.pool == pool && ctx_has_runnable[c] && g.sm_cap.is_finite())
-                .map(|(_, g)| g.sm_cap)
-                .sum::<f64>()
-        }));
 
         // Phase 2: grow/start in dispatch order.
         let mut pokes = std::mem::take(&mut self.scratch.pokes);
@@ -1769,13 +1829,14 @@ impl Gpu {
         for &i in &order {
             let slot = compute[i];
             let inst = &self.instances[slot];
-            let ctx = self.queues[inst.queue.0 as usize].ctx.0 as usize;
-            let pool = groups[ctx].pool;
-            let headroom = (groups[ctx].sm_cap - ctx_used[ctx])
-                .min(self.pool_capacity[pool] - pool_used[pool])
+            let ctx = ctx_of(self, slot);
+            let group = self.groups[ctx];
+            let pool = group.pool;
+            let headroom = (group.sm_cap - ctx_used[ctx])
+                .min(self.pool_capacity[pool] - pools[pool].used)
                 .max(0.0);
             let effective_demand = (inst.shape.max_sms as f64)
-                .min(groups[ctx].sm_cap)
+                .min(group.sm_cap)
                 .min(self.pool_capacity[pool]);
             let want = (inst.shape.max_sms as f64 - alloc[i]).max(0.0);
             let mut grant = want.min(headroom);
@@ -1783,10 +1844,10 @@ impl Gpu {
                 // Wave-granular dispatch: a kernel begins only once the
                 // free SMs cover a meaningful fraction of what it could
                 // ever achieve given the co-resident caps.
-                let others_reserved = if groups[ctx].sm_cap.is_finite() {
-                    finite_cap_reserved[pool] - groups[ctx].sm_cap
+                let others_reserved = if group.sm_cap.is_finite() {
+                    pools[pool].reserved - group.sm_cap
                 } else {
-                    finite_cap_reserved[pool]
+                    pools[pool].reserved
                 };
                 let achievable =
                     (self.pool_capacity[pool] - others_reserved).clamp(1.0, f64::INFINITY);
@@ -1797,41 +1858,36 @@ impl Gpu {
                 }
                 // Contended dispatch: a kernel from an unrestricted
                 // context sharing the pool with other tenants pays an
-                // arbitration gap before it may begin.
+                // arbitration gap before it may begin. Its own context is
+                // runnable, so another one is iff the pool counts two.
                 if grant > 0.0
-                    && !groups[ctx].sm_cap.is_finite()
+                    && !group.sm_cap.is_finite()
                     && !self.spec.contended_dispatch_gap.is_zero()
+                    && pools[pool].runnable > 1
                 {
-                    let contended = ctx_has_runnable
-                        .iter()
-                        .enumerate()
-                        .any(|(c, &r)| c != ctx && r && groups[c].pool == pool);
-                    if contended {
-                        match self.instances[slot].dispatch_ready {
-                            Some(ready) if self.now >= ready => {}
-                            Some(_) => grant = 0.0,
-                            None => {
-                                let ready = self.now + self.spec.contended_dispatch_gap;
-                                pokes.push(ready);
-                                self.instances[slot].dispatch_ready = Some(ready);
-                                grant = 0.0;
-                            }
+                    match self.instances[slot].dispatch_ready {
+                        Some(ready) if self.now >= ready => {}
+                        Some(_) => grant = 0.0,
+                        None => {
+                            let ready = self.now + self.spec.contended_dispatch_gap;
+                            pokes.push(ready);
+                            self.instances[slot].dispatch_ready = Some(ready);
+                            grant = 0.0;
                         }
                     }
                 }
             }
             alloc[i] += grant;
             ctx_used[ctx] += grant;
-            pool_used[pool] += grant;
+            pools[pool].used += grant;
         }
         for &at in &pokes {
             self.events.push(at, DevEv::Poke);
         }
-        self.scratch.pool_used = pool_used;
+        self.scratch.pools = pools;
         self.scratch.ctx_used = ctx_used;
+        self.scratch.ctx_runnable = ctx_runnable;
         self.scratch.order = order;
-        self.scratch.ctx_runnable = ctx_has_runnable;
-        self.scratch.reserved = finite_cap_reserved;
         self.scratch.pokes = pokes;
     }
 
@@ -1868,6 +1924,7 @@ impl Gpu {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
 
     fn free_gpu() -> Gpu {
         Gpu::new(GpuSpec::a100(), HostCosts::free())
@@ -2913,5 +2970,367 @@ mod tests {
             .unwrap();
         run_all(&mut gpu);
         assert_eq!(gpu.kernel_finished_at(h), Some(SimTime::from_micros(1250)));
+    }
+
+    // ------------------------------------------------------------------
+    // O(running) bookkeeping against the full scans it replaced
+    // ------------------------------------------------------------------
+
+    impl Gpu {
+        /// `sticky_allocate` as it was before the O(running) rewrite: it
+        /// takes every context's group, zero-fills every per-context
+        /// accumulator and scans all contexts for the reserved caps and
+        /// for contention. The differential twin of `sticky_allocate`.
+        fn sticky_allocate_full_scan(
+            &mut self,
+            compute: &[usize],
+            groups: &[CtxGroup],
+            alloc: &mut Vec<f64>,
+        ) {
+            let n_pools = self.pool_capacity.len();
+            let mut pool_used = Vec::new();
+            pool_used.clear();
+            pool_used.resize(n_pools, 0.0);
+            let mut ctx_used = Vec::new();
+            ctx_used.clear();
+            ctx_used.resize(groups.len(), 0.0);
+
+            // Dispatch order: earlier-started kernels have priority.
+            let mut order = std::mem::take(&mut self.scratch.order);
+            order.clear();
+            order.extend(0..compute.len());
+            order.sort_by_key(|&i| self.instances[compute[i]].run_seq);
+
+            alloc.clear();
+            alloc.resize(compute.len(), 0.0);
+            // Phase 1: retain current allocations (clamped to caps).
+            for &i in &order {
+                let slot = compute[i];
+                let inst = &self.instances[slot];
+                let ctx = self.queues[inst.queue.0 as usize].ctx.0 as usize;
+                let pool = groups[ctx].pool;
+                let keep = inst
+                    .alloc_sms
+                    .min(inst.shape.max_sms as f64)
+                    .min((groups[ctx].sm_cap - ctx_used[ctx]).max(0.0))
+                    .min((self.pool_capacity[pool] - pool_used[pool]).max(0.0));
+                alloc[i] = keep;
+                ctx_used[ctx] += keep;
+                pool_used[pool] += keep;
+            }
+            // SMs structurally reserved per pool by *other* finite-cap
+            // contexts that currently have runnable kernels. SM-affinity caps
+            // are visible reservations: a kernel can count on the SMs beyond
+            // them, so its block waves launch there immediately. Unrestricted
+            // co-runners reserve nothing structurally — they contend for the
+            // whole pool, and dispatch-order alternation decides (Fig. 7a).
+            let mut ctx_has_runnable = Vec::new();
+            ctx_has_runnable.clear();
+            ctx_has_runnable.resize(groups.len(), false);
+            for &slot in compute {
+                let ctx = self.queues[self.instances[slot].queue.0 as usize].ctx.0 as usize;
+                ctx_has_runnable[ctx] = true;
+            }
+            let mut finite_cap_reserved = Vec::new();
+            finite_cap_reserved.clear();
+            finite_cap_reserved.extend((0..self.pool_capacity.len()).map(|pool| {
+                groups
+                    .iter()
+                    .enumerate()
+                    .filter(|&(c, g)| g.pool == pool && ctx_has_runnable[c] && g.sm_cap.is_finite())
+                    .map(|(_, g)| g.sm_cap)
+                    .sum::<f64>()
+            }));
+
+            // Phase 2: grow/start in dispatch order.
+            let mut pokes = std::mem::take(&mut self.scratch.pokes);
+            pokes.clear();
+            for &i in &order {
+                let slot = compute[i];
+                let inst = &self.instances[slot];
+                let ctx = self.queues[inst.queue.0 as usize].ctx.0 as usize;
+                let pool = groups[ctx].pool;
+                let headroom = (groups[ctx].sm_cap - ctx_used[ctx])
+                    .min(self.pool_capacity[pool] - pool_used[pool])
+                    .max(0.0);
+                let effective_demand = (inst.shape.max_sms as f64)
+                    .min(groups[ctx].sm_cap)
+                    .min(self.pool_capacity[pool]);
+                let want = (inst.shape.max_sms as f64 - alloc[i]).max(0.0);
+                let mut grant = want.min(headroom);
+                if alloc[i] == 0.0 {
+                    // Wave-granular dispatch: a kernel begins only once the
+                    // free SMs cover a meaningful fraction of what it could
+                    // ever achieve given the co-resident caps.
+                    let others_reserved = if groups[ctx].sm_cap.is_finite() {
+                        finite_cap_reserved[pool] - groups[ctx].sm_cap
+                    } else {
+                        finite_cap_reserved[pool]
+                    };
+                    let achievable =
+                        (self.pool_capacity[pool] - others_reserved).clamp(1.0, f64::INFINITY);
+                    let threshold = (effective_demand.min(achievable)
+                        * self.spec.dispatch_min_fraction)
+                        .max(1.0);
+                    if grant < threshold {
+                        grant = 0.0;
+                    }
+                    // Contended dispatch: a kernel from an unrestricted
+                    // context sharing the pool with other tenants pays an
+                    // arbitration gap before it may begin.
+                    if grant > 0.0
+                        && !groups[ctx].sm_cap.is_finite()
+                        && !self.spec.contended_dispatch_gap.is_zero()
+                    {
+                        let contended = ctx_has_runnable
+                            .iter()
+                            .enumerate()
+                            .any(|(c, &r)| c != ctx && r && groups[c].pool == pool);
+                        if contended {
+                            match self.instances[slot].dispatch_ready {
+                                Some(ready) if self.now >= ready => {}
+                                Some(_) => grant = 0.0,
+                                None => {
+                                    let ready = self.now + self.spec.contended_dispatch_gap;
+                                    pokes.push(ready);
+                                    self.instances[slot].dispatch_ready = Some(ready);
+                                    grant = 0.0;
+                                }
+                            }
+                        }
+                    }
+                }
+                alloc[i] += grant;
+                ctx_used[ctx] += grant;
+                pool_used[pool] += grant;
+            }
+            for &at in &pokes {
+                self.events.push(at, DevEv::Poke);
+            }
+            self.scratch.order = order;
+            self.scratch.pokes = pokes;
+        }
+    }
+
+    /// Every context's allocator group rebuilt from `contexts` alone: MIG
+    /// partitions own pools 1, 2, … in creation order.
+    fn groups_from_contexts(contexts: &[CtxKind]) -> Vec<CtxGroup> {
+        let mut mig_pools = 0;
+        contexts
+            .iter()
+            .map(|&kind| CtxGroup {
+                pool: if matches!(kind, CtxKind::MigPartition { .. }) {
+                    mig_pools += 1;
+                    mig_pools
+                } else {
+                    0
+                },
+                sm_cap: kind.sm_cap(),
+            })
+            .collect()
+    }
+
+    /// The running-queue index and the cached groups equal full rebuilds.
+    fn assert_index_invariants(gpu: &Gpu) {
+        let scanned: Vec<u32> = (0..gpu.queues.len() as u32)
+            .filter(|&q| gpu.queues[q as usize].running.is_some())
+            .collect();
+        assert_eq!(gpu.running, scanned, "running-queue index drifted");
+        assert_eq!(
+            gpu.groups,
+            groups_from_contexts(&gpu.contexts),
+            "cached context groups drifted"
+        );
+    }
+
+    /// One drawn running kernel: context draw, allocation (`None` = 0),
+    /// `max_sms`, dispatch rank, dispatch-gap offset in ns, and whether
+    /// that deadline lies before `now`.
+    type KernelDraw = (usize, Option<f64>, u32, u64, Option<u64>, bool);
+
+    /// A device with the drawn contexts (selector 1 = MPS affinity with
+    /// the drawn cap, 2 = MIG partition while at most two exist, else
+    /// unrestricted) and one queue per drawn kernel, whose running head
+    /// is injected with the drawn allocation, `max_sms`, dispatch rank and
+    /// dispatch-gap deadline (before or after `now`). Returns the device
+    /// and the running slots in ascending queue order, as the
+    /// reallocation gather yields them.
+    fn sticky_state(ctxs: &[(u8, u32, u32)], kernels: &[KernelDraw]) -> (Gpu, Vec<usize>) {
+        let mut gpu = free_gpu();
+        let mut migs = 0;
+        for &(sel, cap, mig_sms) in ctxs {
+            let kind = match sel {
+                1 => CtxKind::MpsAffinity { sm_cap: cap },
+                2 if migs < 2 => {
+                    migs += 1;
+                    CtxKind::MigPartition { sm_count: mig_sms }
+                }
+                _ => CtxKind::Default,
+            };
+            gpu.create_context(kind).unwrap();
+        }
+        gpu.now = SimTime::from_millis(1);
+        let now_ns = gpu.now.as_nanos();
+        let mut compute = Vec::new();
+        for (i, &(c, alloc, max_sms, rank, ready, past)) in kernels.iter().enumerate() {
+            let q = gpu.create_queue(CtxId((c % ctxs.len()) as u32)).unwrap();
+            let desc = KernelDesc::compute("k", SimDuration::from_micros(10), max_sms, 0.3);
+            let slot = gpu.instances.len();
+            gpu.instances.push(Instance {
+                shape: KernelShape::of(&desc),
+                name: KernelName::Owned(desc.name),
+                queue: q,
+                tag: i as u64,
+                state: InstState::Running,
+                remaining: 1e6,
+                rate: 0.0,
+                alloc_sms: alloc.unwrap_or(0.0),
+                // Distinct ranks in a random order.
+                run_seq: rank * 16 + i as u64,
+                event_epoch: 0,
+                generation: 0,
+                last_seg: usize::MAX,
+                dispatch_ready: ready
+                    .map(|d| SimTime::from_nanos(if past { now_ns - d } else { now_ns + d })),
+                started_at: Some(gpu.now),
+                finished_at: None,
+                trace_seq: 0,
+                launch_seq: i as u64,
+            });
+            gpu.queues[q.0 as usize].running = Some(slot);
+            gpu.running.push(q.0);
+            compute.push(slot);
+        }
+        (gpu, compute)
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(512))]
+        /// The O(running) `sticky_allocate` is bit-identical to its
+        /// full-scan twin — allocations, poke instants and dispatch-gap
+        /// deadlines — over 1–3 pools, 1–16 contexts of every kind and
+        /// 0–12 running kernels, even with stale per-context scratch left
+        /// behind by earlier calls. This pins the exact-sum argument for
+        /// the reserved caps beyond the seeds the golden digests use.
+        #[test]
+        fn prop_sticky_allocate_matches_full_scan_twin(
+            ctxs in proptest::collection::vec((0u8..3, 1u32..=108, 1u32..=40), 1..=16),
+            kernels in proptest::collection::vec(
+                (
+                    0usize..16,
+                    proptest::option::of(0.0f64..120.0),
+                    1u32..=108,
+                    0u64..1000,
+                    proptest::option::of(0u64..200_000),
+                    any::<bool>(),
+                ),
+                0..=12,
+            ),
+        ) {
+            let (mut fast, compute) = sticky_state(&ctxs, &kernels);
+            let (mut twin, _) = sticky_state(&ctxs, &kernels);
+            fast.scratch.ctx_used = vec![1e9; 16];
+            fast.scratch.ctx_runnable = vec![true; 16];
+            let mut alloc = Vec::new();
+            fast.sticky_allocate(&compute, &mut alloc);
+            let groups = groups_from_contexts(&twin.contexts);
+            let mut twin_alloc = Vec::new();
+            twin.sticky_allocate_full_scan(&compute, &groups, &mut twin_alloc);
+
+            let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+            prop_assert_eq!(bits(&alloc), bits(&twin_alloc));
+            let pokes = |gpu: &mut Gpu| {
+                std::iter::from_fn(|| gpu.events.pop().map(|(at, _)| at)).collect::<Vec<_>>()
+            };
+            prop_assert_eq!(pokes(&mut fast), pokes(&mut twin));
+            for &slot in &compute {
+                prop_assert_eq!(
+                    fast.instances[slot].dispatch_ready,
+                    twin.instances[slot].dispatch_ready
+                );
+            }
+        }
+
+        /// The running-queue index equals a full scan of the queue heads
+        /// and the cached groups equal a rebuild from the contexts after
+        /// every engine step, across random launches, context crashes, cap
+        /// changes, MIG partitions created mid-run and a final drain
+        /// (or migration snapshot).
+        #[test]
+        fn prop_running_index_and_groups_match_full_rebuild(
+            ops in proptest::collection::vec((0u8..8, 0usize..64, 1u32..=108), 1..60),
+            seed in 0u64..1000,
+            snapshot: bool,
+        ) {
+            let mut gpu = free_gpu();
+            gpu.set_slot_recycling(seed % 2 == 0);
+            gpu.set_fault_plan(FaultPlan::build(
+                seed,
+                &FaultSpec {
+                    num_apps: 3,
+                    crash_count: 3,
+                    crash_window: (SimTime::ZERO, SimTime::from_micros(400)),
+                    ..FaultSpec::default()
+                },
+            ));
+            let mut queues = Vec::new();
+            let mut mps = Vec::new();
+            for kind in [CtxKind::Default, CtxKind::MpsAffinity { sm_cap: 40 }] {
+                let ctx = gpu.create_context(kind).unwrap();
+                queues.push(gpu.create_queue(ctx).unwrap());
+                queues.push(gpu.create_queue(ctx).unwrap());
+            }
+            mps.push(CtxId(1));
+            for (i, (op, a, b)) in ops.into_iter().enumerate() {
+                let q = queues[a % queues.len()];
+                let tag = encode_tag(a % 3, i);
+                match op {
+                    0..=2 => {
+                        let k = KernelDesc::compute("k", SimDuration::from_micros(b as u64), b, 0.3);
+                        gpu.launch(q, k, tag).unwrap();
+                    }
+                    3 => {
+                        let bytes = b as u64 * 100_000;
+                        let k = if a % 2 == 0 {
+                            KernelDesc::memcpy_h2d("h2d", bytes)
+                        } else {
+                            KernelDesc::memcpy_d2h("d2h", bytes)
+                        };
+                        gpu.launch(q, k, tag).unwrap();
+                    }
+                    4 => gpu.set_mps_cap(mps[a % mps.len()], b).unwrap(),
+                    5 => {
+                        if let Ok(ctx) = gpu.create_context(CtxKind::MigPartition { sm_count: b % 30 + 1 }) {
+                            queues.push(gpu.create_queue(ctx).unwrap());
+                        }
+                    }
+                    6 => {
+                        // Device memory bounds how many MPS contexts fit.
+                        if let Ok(ctx) = gpu.create_context(CtxKind::MpsAffinity { sm_cap: b }) {
+                            mps.push(ctx);
+                            queues.push(gpu.create_queue(ctx).unwrap());
+                        }
+                    }
+                    _ => {}
+                }
+                assert_index_invariants(&gpu);
+                for _ in 0..a % 6 {
+                    if gpu.step().is_none() && gpu.events.is_empty() {
+                        break;
+                    }
+                    assert_index_invariants(&gpu);
+                }
+            }
+            if snapshot {
+                gpu.drain_snapshot();
+            } else {
+                while !gpu.events.is_empty() {
+                    gpu.step();
+                    assert_index_invariants(&gpu);
+                }
+            }
+            assert_index_invariants(&gpu);
+            prop_assert!(gpu.running.is_empty());
+        }
     }
 }

@@ -4,15 +4,17 @@
 //! A *lane* is an independently advancing slice of one physical GPU — a
 //! hard MIG partition, a disjoint MPS share, or a DMA engine — whose
 //! kernels never observe another lane's state. The monolithic [`Gpu`]
-//! engine settles **every** queue on **every** event because any compute
-//! kernel can, in principle, perturb any other through the shared SM
-//! allocator and the memory-interference term; when the tenancy structure
-//! actually partitions the device, that coupling is vacuous and the
-//! all-queues scan is pure overhead. [`LaneEngine`] exploits this: each
-//! lane runs its own [`Gpu`] (with per-lane event queue, allocator pools,
-//! and interference scope), so per-event cost scales with the *lane's*
-//! queue count instead of the device's — and lanes can advance on separate
-//! OS threads between interaction points.
+//! engine re-divides the SMs among **all** running kernels of the device
+//! and re-rates each one on every allocation-changing event, because any
+//! compute kernel can, in principle, perturb any other through the shared
+//! SM allocator and the memory-interference term; when the tenancy
+//! structure actually partitions the device, that coupling is vacuous and
+//! the device-wide recomputation is pure overhead. [`LaneEngine`] exploits
+//! this: each lane runs its own [`Gpu`] (with per-lane event queue,
+//! allocator pools, and interference scope), so per-event cost scales
+//! with the *lane's* running kernels and pending events instead of the
+//! device's — and lanes can advance on separate OS threads between
+//! interaction points.
 //!
 //! # The deterministic merge
 //!

@@ -334,6 +334,14 @@ mod tests {
     }
 
     #[test]
+    fn pending_arrivals_fit_in_a_forty_byte_entry() {
+        // A chaos fleet pre-generates tens of thousands of arrivals. The
+        // event queue keeps a 24-byte payload in a 40-byte entry (pinned
+        // in sim-core); a larger arrival would grow every entry.
+        const { assert!(std::mem::size_of::<RequestArrival>() <= 24) };
+    }
+
+    #[test]
     fn requests_flow_through_driver() {
         let gpu = Gpu::new(GpuSpec::a100(), HostCosts::free());
         let arrivals = vec![

@@ -11,10 +11,15 @@
 //! `Ord`), the wider fan-out halves the tree depth, sift-down touches one
 //! contiguous cache line of children per level, and the backing `Vec`
 //! never shrinks — so a queue that has reached its steady-state high-water
-//! mark pushes and pops without allocating. The original `BinaryHeap`
-//! wrapper is retained (test-only) as `legacy::LegacyEventQueue`, and a
-//! differential test drives both through random interleaved operation
-//! sequences to pin the pop order bit-for-bit.
+//! mark pushes and pops without allocating. Keys compare as one packed
+//! `u128` built on the fly (entries keep two `u64` fields, so they do not
+//! grow to `u128` alignment). Push and pop move a hole instead of swapping
+//! entries, which needs payloads to be `Copy`. Keys are unique, so the pop
+//! order does not depend on the heap's internal layout.
+//! The original `BinaryHeap` wrapper is retained (test-only) as
+//! `legacy::LegacyEventQueue`, and a differential test drives both through
+//! random interleaved operation sequences to pin the pop order
+//! bit-for-bit.
 
 use crate::time::SimTime;
 
@@ -23,6 +28,7 @@ use crate::time::SimTime;
 const ARITY: usize = 4;
 
 /// One pending entry: fire time, insertion sequence number, payload.
+#[derive(Clone, Copy)]
 struct Entry<E> {
     at: SimTime,
     seq: u64,
@@ -31,9 +37,11 @@ struct Entry<E> {
 
 impl<E> Entry<E> {
     /// The heap key: earliest time first; FIFO (insertion order) on ties.
+    /// Packing `(at, seq)` into one integer makes every comparison a
+    /// single branch-free compare with the tuple's exact order.
     #[inline]
-    fn key(&self) -> (SimTime, u64) {
-        (self.at, self.seq)
+    fn key(&self) -> u128 {
+        ((self.at.as_nanos() as u128) << 64) | self.seq as u128
     }
 }
 
@@ -45,13 +53,13 @@ pub struct EventQueue<E> {
     next_seq: u64,
 }
 
-impl<E> Default for EventQueue<E> {
+impl<E: Copy> Default for EventQueue<E> {
     fn default() -> Self {
         Self::new()
     }
 }
 
-impl<E> EventQueue<E> {
+impl<E: Copy> EventQueue<E> {
     /// Creates an empty queue.
     pub fn new() -> Self {
         EventQueue {
@@ -70,13 +78,13 @@ impl<E> EventQueue<E> {
 
     /// Removes and returns the earliest event, if any.
     pub fn pop(&mut self) -> Option<(SimTime, E)> {
-        let last = self.heap.len().checked_sub(1)?;
-        self.heap.swap(0, last);
-        let e = self.heap.pop().map(|e| (e.at, e.payload));
-        if !self.heap.is_empty() {
-            self.sift_down(0);
-        }
-        e
+        let last = self.heap.pop()?;
+        let Some(&top) = self.heap.first() else {
+            return Some((last.at, last.payload));
+        };
+        self.heap[0] = last;
+        self.sift_down(0);
+        Some((top.at, top.payload))
     }
 
     /// The firing time of the earliest pending event.
@@ -99,44 +107,54 @@ impl<E> EventQueue<E> {
         self.heap.clear();
     }
 
-    /// Moves `heap[i]` toward the root until its parent's key is smaller.
+    /// Moves `heap[i]` toward the root: parents with larger keys shift
+    /// down into the hole until the entry's place is found.
     fn sift_up(&mut self, mut i: usize) {
+        let moving = self.heap[i];
+        let key = moving.key();
         while i > 0 {
             let parent = (i - 1) / ARITY;
-            if self.heap[parent].key() <= self.heap[i].key() {
+            if self.heap[parent].key() <= key {
                 break;
             }
-            self.heap.swap(parent, i);
+            self.heap[i] = self.heap[parent];
             i = parent;
         }
+        self.heap[i] = moving;
     }
 
-    /// Moves `heap[i]` toward the leaves, swapping with its smallest
-    /// child while that child's key is smaller.
+    /// Moves `heap[i]` toward the leaves: the smallest child shifts up
+    /// into the hole while its key is below the entry's.
     fn sift_down(&mut self, mut i: usize) {
+        let moving = self.heap[i];
+        let key = moving.key();
         let len = self.heap.len();
         loop {
             let first_child = ARITY * i + 1;
             if first_child >= len {
                 break;
             }
-            let mut best = first_child;
             let end = (first_child + ARITY).min(len);
-            for c in first_child + 1..end {
-                if self.heap[c].key() < self.heap[best].key() {
-                    best = c;
+            let mut best = first_child;
+            let mut best_key = self.heap[first_child].key();
+            for (c, e) in self.heap[first_child + 1..end].iter().enumerate() {
+                let k = e.key();
+                if k < best_key {
+                    best = first_child + 1 + c;
+                    best_key = k;
                 }
             }
-            if self.heap[i].key() <= self.heap[best].key() {
+            if key <= best_key {
                 break;
             }
-            self.heap.swap(i, best);
+            self.heap[i] = self.heap[best];
             i = best;
         }
+        self.heap[i] = moving;
     }
 }
 
-/// The pre-PR-5 `BinaryHeap`-backed implementation, kept as a differential
+/// The original `BinaryHeap`-backed implementation, kept as a differential
 /// twin: the four-ary queue above must reproduce its pop order exactly for
 /// any operation sequence. Compiled for tests only.
 #[cfg(test)]
@@ -283,6 +301,15 @@ mod tests {
         assert_eq!(q.heap.capacity(), cap, "steady-state refill reallocated");
     }
 
+    #[test]
+    fn entries_keep_two_u64_keys() {
+        // A packed `u128` key field would raise entry alignment to 16 and
+        // pad a 24-byte payload (e.g. a request arrival) from 40 to 48
+        // bytes; the key is therefore built on the fly.
+        assert_eq!(std::mem::size_of::<Entry<[u64; 3]>>(), 40);
+        assert_eq!(std::mem::size_of::<Entry<()>>(), 16);
+    }
+
     proptest! {
         /// Popping the entire queue yields a non-decreasing time sequence,
         /// and equal-time events keep their relative insertion order.
@@ -307,24 +334,36 @@ mod tests {
         /// Differential twin: for any interleaving of pushes and pops
         /// (heavy on same-nanosecond ties), the four-ary heap and the old
         /// `BinaryHeap` implementation produce identical results — same
-        /// pops, same peeks, same final drain, element for element.
+        /// pops, same peeks, same final drain, element for element. Times
+        /// span the whole `u64` range, so the packed key's high half is
+        /// exercised up to `u64::MAX`, and bursts of equal-time pushes pin
+        /// FIFO ties in the low half.
         #[test]
         fn prop_matches_legacy_binary_heap(
             ops in proptest::collection::vec(
-                // (is_push, time) — a small time range forces many ties.
-                (any::<bool>(), 0u64..16), 1..400),
+                // (op, small time, wide time, burst length): op 0 pops,
+                // 1 pushes at a small time (many ties), 2 pushes just
+                // below `u64::MAX`, 3 pushes a burst at one wide time.
+                (0u8..4, 0u64..16, any::<u64>(), 1usize..8), 1..400),
         ) {
             let mut new_q = EventQueue::new();
             let mut old_q = legacy::LegacyEventQueue::new();
             let mut payload = 0u64;
-            for (is_push, t) in ops {
-                if is_push {
-                    new_q.push(SimTime::from_nanos(t), payload);
-                    old_q.push(SimTime::from_nanos(t), payload);
+            for (op, t, wide, burst) in ops {
+                let (at, n) = match op {
+                    0 => {
+                        prop_assert_eq!(new_q.peek_time(), old_q.peek_time());
+                        prop_assert_eq!(new_q.pop(), old_q.pop());
+                        continue;
+                    }
+                    1 => (t, 1),
+                    2 => (u64::MAX - t, 1),
+                    _ => (wide, burst),
+                };
+                for _ in 0..n {
+                    new_q.push(SimTime::from_nanos(at), payload);
+                    old_q.push(SimTime::from_nanos(at), payload);
                     payload += 1;
-                } else {
-                    prop_assert_eq!(new_q.peek_time(), old_q.peek_time());
-                    prop_assert_eq!(new_q.pop(), old_q.pop());
                 }
             }
             loop {

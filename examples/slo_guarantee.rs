@@ -44,8 +44,8 @@ fn main() {
     ] {
         let r = run_system(&sys, &ws, &spec, SimTime::from_secs(120), Some(&targets));
         let mut violations = 0.0;
-        for app in 0..2 {
-            violations += r.log.violation_rate(app, targets[app]);
+        for (app, &target) in targets.iter().enumerate() {
+            violations += r.log.violation_rate(app, target);
         }
         let p99 = |app: usize| r.log.stats(app).p99.map_or(f64::NAN, |d| d.as_millis_f64());
         println!(

@@ -186,12 +186,11 @@ fn tally_loses_no_best_effort_request() {
             .collect();
         let r = run_validated(&System::Tally, &ws, &spec, SimTime::from_secs(300), None);
         assert_eq!(r.outcome, RunOutcome::Completed, "seed {seed}");
-        for app in 0..2 {
+        for (app, &initial) in arrived.iter().enumerate() {
             assert!(
-                r.log.completed_count(app) >= arrived[app],
-                "seed {seed} app {app}: {} completed of {} initial arrivals",
+                r.log.completed_count(app) >= initial,
+                "seed {seed} app {app}: {} completed of {initial} initial arrivals",
                 r.log.completed_count(app),
-                arrived[app]
             );
         }
     }

@@ -7,10 +7,10 @@
 //! transiently ([`sim_core::GpuHangEvent`]). When a device faults, its
 //! runtime is quiesced at a barrier one nanosecond before the fault
 //! instant, the in-flight squads are abandoned with typed errors on the
-//! device ([`Gpu::drain_snapshot`]), and the pending per-tenant work is
-//! exported as a portable checkpoint ([`BlessDriver::export_checkpoint`]
-//! plus the undelivered arrival tail from
-//! [`Simulation::take_pending_arrivals`]).
+//! device ([`gpu_sim::Gpu::drain_snapshot`]), and the pending per-tenant
+//! work is exported as a portable checkpoint
+//! ([`BlessDriver::export_checkpoint`] plus the undelivered arrival tail
+//! from [`Simulation::take_pending_arrivals`]).
 //!
 //! * **Permanent failure** — every casualty with remaining work is handed
 //!   to the [`MigrationPolicy`], which first-fits it onto a surviving
@@ -56,20 +56,18 @@
 //! device-level faults (context crashes, DMA stalls, drift, stragglers)
 //! compose through the single-GPU `run_custom_faulted` harness path.
 
-use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::{Mutex, PoisonError};
-
-use bless::{BlessDriver, BlessParams, DeployedApp, TenantCheckpoint};
-use gpu_sim::{Gpu, GpuSpec, HostCosts, RequestArrival, RunOutcome, Simulation};
+use bless::{BlessDriver, BlessParams, TenantCheckpoint};
+use gpu_sim::{GpuSpec, RequestArrival, RunOutcome, Simulation};
 use metrics::{RequestLog, ShareMode};
 use profiler::{admit, AdmissionPolicy, ProfiledApp, SharedProfile};
 use sim_core::trace::TraceEvent;
-use sim_core::{FaultPlan, FaultSpec, SimDuration, SimTime};
-use workloads::{ArrivalPattern, TenantSpec, WorkloadSet};
+use sim_core::{pool, FaultPlan, FaultSpec, SimDuration, SimTime};
+use workloads::{ArrivalPattern, WorkloadSet};
 
 use crate::placement::{
     fleet_requests, place, CapacityIndex, Placement, PlacementError, PlacementRequest,
 };
+use crate::run::{gpu_runtime, gpu_workload, initial_ladder};
 
 /// The class of device fault that interrupted a tenant.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -240,7 +238,8 @@ pub struct ChaosOptions {
     pub parallel: bool,
     /// Synthesize the fleet-level trace stream into [`ChaosRun::trace`].
     pub capture_trace: bool,
-    /// Worker-pool size; `None` honours `std::thread::available_parallelism`.
+    /// Worker-pool size, resolved by [`sim_core::pool::workers`]: `None`
+    /// means one worker per available CPU.
     pub workers: Option<usize>,
     /// Modeled cost of moving a tenant checkpoint to another device and
     /// re-provisioning contexts there — the cross-device analogue of the
@@ -296,8 +295,9 @@ pub struct ChaosRun {
     pub trace: Vec<TraceEvent>,
     /// Final-drain outcome per GPU slot (`None` for devices that died).
     pub outcomes: Vec<Option<RunOutcome>>,
-    /// Instance-slot high-water per GPU slot ([`Gpu::instance_slots`]),
-    /// the largest over the slot's incarnations.
+    /// Instance-slot high-water per GPU slot
+    /// ([`gpu_sim::Gpu::instance_slots`]), the largest over the slot's
+    /// incarnations.
     pub instance_slots: Vec<usize>,
 }
 
@@ -371,10 +371,11 @@ struct FaultEvent {
 /// number of GPUs the placement actually uses. See the module docs for
 /// the recovery model.
 ///
-/// # Panics
-///
-/// Panics if any tenant uses a closed-loop arrival pattern (closed-loop
-/// client state cannot be checkpointed across a migration).
+/// A closed-loop tenant is rejected with
+/// [`PlacementError::ClosedLoopTenant`] (its client state cannot be
+/// checkpointed across a migration), and a zero
+/// [`PinnedPolicy::check_every`] with [`PlacementError::ZeroCheckPeriod`],
+/// both before placement.
 #[allow(clippy::too_many_arguments)]
 pub fn run_chaos<P: Into<SharedProfile>>(
     ws: &WorkloadSet,
@@ -388,12 +389,18 @@ pub fn run_chaos<P: Into<SharedProfile>>(
     opts: &ChaosOptions,
 ) -> Result<ChaosRun, PlacementError> {
     let requests = fleet_requests(ws, profiles, opts.initial_modes.as_deref())?;
-    for t in &ws.tenants {
-        assert!(
-            !matches!(t.pattern, ArrivalPattern::ClosedLoop { .. }),
-            "run_chaos requires open-loop arrival patterns: closed-loop \
-             client state cannot be checkpointed across a migration"
-        );
+    if let Some(tenant) = ws
+        .tenants
+        .iter()
+        .position(|t| matches!(t.pattern, ArrivalPattern::ClosedLoop { .. }))
+    {
+        return Err(PlacementError::ClosedLoopTenant { tenant });
+    }
+    if opts
+        .pinned_evacuation
+        .is_some_and(|pp| pp.check_every.as_nanos() == 0)
+    {
+        return Err(PlacementError::ZeroCheckPeriod);
     }
     let placement = place(
         &requests,
@@ -419,20 +426,7 @@ pub fn run_chaos<P: Into<SharedProfile>>(
     let mut slots: Vec<Option<Slot>> = Vec::with_capacity(placement.gpus_used);
     for g in 0..placement.gpus_used {
         let tenants = placement.tenants_of(g);
-        let local_ws = WorkloadSet::new(
-            tenants
-                .iter()
-                .map(|&t| {
-                    TenantSpec::new(
-                        ws.tenants[t].model.clone(),
-                        ws.tenants[t].quota,
-                        ws.tenants[t].pattern.clone(),
-                    )
-                })
-                .collect(),
-            ws.seed.wrapping_add(g as u64),
-        );
-        let arrivals = local_ws.initial_arrivals();
+        let arrivals = gpu_workload(ws, &tenants, g).initial_arrivals();
         let mut req_map: Vec<Vec<usize>> = vec![Vec::new(); tenants.len()];
         for a in &arrivals {
             debug_assert_eq!(a.req, req_map[a.app].len());
@@ -441,26 +435,12 @@ pub fn run_chaos<P: Into<SharedProfile>>(
         }
         // Open-loop fleet arrivals are emitted per app in time order, so
         // the per-tenant table above is already req-id ordered.
-        let apps: Vec<DeployedApp> = tenants
-            .iter()
-            .map(|&t| {
-                DeployedApp::new(
-                    SharedProfile::clone(&requests[t].profile),
-                    ws.tenants[t].quota,
-                    None,
-                )
-            })
-            .collect();
-        let mut driver = BlessDriver::new(apps, params.clone());
-        if let Some(modes) = &opts.initial_modes {
-            for (a, &t) in tenants.iter().enumerate() {
-                driver.restore_share_mode(a, modes[t], 0);
-            }
-        }
+        let ladder = initial_ladder(opts.initial_modes.as_deref(), &tenants);
+        let sim = gpu_runtime(&tenants, ladder, arrivals, &requests, spec, params);
         slots.push(Some(Slot {
             tenants,
             req_map,
-            sim: Simulation::new(incarnation_gpu(spec), driver, arrivals),
+            sim,
         }));
     }
 
@@ -490,10 +470,6 @@ pub fn run_chaos<P: Into<SharedProfile>>(
         .collect();
     // Periodic pinned checks join the same deterministic sequence.
     if let Some(pp) = &opts.pinned_evacuation {
-        assert!(
-            pp.check_every.as_nanos() > 0,
-            "pinned_evacuation.check_every must be positive"
-        );
         let mut at = SimTime::ZERO + pp.check_every;
         while at <= horizon {
             events.push(FaultEvent {
@@ -627,7 +603,7 @@ pub fn run_chaos<P: Into<SharedProfile>>(
                         );
                         all.push(e);
                     }
-                    slots[h] = Some(build_slot(all, resume, &requests, ws, spec, params));
+                    slots[h] = Some(build_slot(all, resume, &requests, spec, params));
                 }
                 // The source restarts its remaining tenants in place after
                 // the context re-provisioning pause.
@@ -635,7 +611,6 @@ pub fn run_chaos<P: Into<SharedProfile>>(
                     stay,
                     ev.at + opts.restart_cost,
                     &requests,
-                    ws,
                     spec,
                     params,
                 ));
@@ -677,7 +652,7 @@ pub fn run_chaos<P: Into<SharedProfile>>(
                         opts.capture_trace.then_some(&mut fleet_events),
                     );
                 }
-                slots[g] = Some(build_slot(evacuees, resume, &requests, ws, spec, params));
+                slots[g] = Some(build_slot(evacuees, resume, &requests, spec, params));
             }
             FaultKind::Failure => {
                 // Evacuate casualties most-degraded-first so tenants deep
@@ -775,7 +750,7 @@ pub fn run_chaos<P: Into<SharedProfile>>(
                         );
                         all.push(e);
                     }
-                    slots[h] = Some(build_slot(all, resume, &requests, ws, spec, params));
+                    slots[h] = Some(build_slot(all, resume, &requests, spec, params));
                 }
             }
             FaultKind::Pinned => unreachable!("handled before the per-device dispatch"),
@@ -783,59 +758,25 @@ pub fn run_chaos<P: Into<SharedProfile>>(
     }
 
     // Final drain: surviving incarnations are mutually independent, so
-    // they run to the horizon on a worker pool and merge by slot order.
-    let mut work: Vec<(usize, Slot)> = Vec::new();
-    for (g, s) in slots.iter_mut().enumerate() {
-        if let Some(slot) = s.take() {
-            work.push((g, slot));
-        }
-    }
-    let workers = if opts.parallel {
-        opts.workers
-            .or_else(|| std::thread::available_parallelism().ok().map(|n| n.get()))
-            .unwrap_or(1)
-            .clamp(1, work.len().max(1))
-    } else {
-        1
-    };
-    let mut finished: Vec<(usize, Slot, RunOutcome)> = if workers <= 1 || work.len() <= 1 {
-        work.into_iter()
-            .map(|(g, mut slot)| {
-                let outcome = slot.sim.run(horizon);
-                (g, slot, outcome)
-            })
-            .collect()
-    } else {
-        let next = AtomicUsize::new(0);
-        let pending: Mutex<Vec<Option<(usize, Slot)>>> =
-            Mutex::new(work.into_iter().map(Some).collect());
-        let done = Mutex::new(Vec::new());
-        std::thread::scope(|scope| {
-            for _ in 0..workers {
-                scope.spawn(|| loop {
-                    let i = next.fetch_add(1, Ordering::Relaxed);
-                    let item = pending
-                        .lock()
-                        .unwrap_or_else(PoisonError::into_inner)
-                        .get_mut(i)
-                        .and_then(Option::take);
-                    let Some((g, mut slot)) = item else { break };
-                    let outcome = slot.sim.run(horizon);
-                    done.lock()
-                        .unwrap_or_else(PoisonError::into_inner)
-                        .push((g, slot, outcome));
-                });
-            }
-        });
-        done.into_inner().unwrap_or_else(PoisonError::into_inner)
-    };
-    finished.sort_by_key(|(g, _, _)| *g);
+    // they run to the horizon on the pool, already in slot order.
+    let mut finished: Vec<(usize, Slot, Option<RunOutcome>)> = slots
+        .iter_mut()
+        .enumerate()
+        .filter_map(|(g, s)| Some((g, s.take()?, None)))
+        .collect();
+    let workers = pool::workers(
+        if opts.parallel { opts.workers } else { Some(1) },
+        finished.len(),
+    );
+    pool::for_each_mut(&mut finished, workers, |_, (_, slot, outcome)| {
+        *outcome = Some(slot.sim.run(horizon));
+    });
 
     let mut outcomes: Vec<Option<RunOutcome>> = vec![None; placement.gpus_used];
     for (g, slot, outcome) in finished {
         harvest(&slot, &mut completions);
         instance_slots[g] = instance_slots[g].max(slot.sim.gpu.instance_slots());
-        outcomes[g] = Some(outcome);
+        outcomes[g] = outcome;
     }
 
     // Fleet log: canonical arrival times, harvested completions.
@@ -952,7 +893,7 @@ fn quiesce(
     out
 }
 
-/// Builds a fresh incarnation from evacuee state: a new driver covering
+/// Builds a fresh incarnation from evacuee state: a new runtime covering
 /// the evacuees' tenants (ladder positions restored), with the preserved
 /// requests re-injected at `resume` (outstanding work first, FIFO kept;
 /// future arrivals at their original instants, clamped to `resume`) and
@@ -961,25 +902,12 @@ fn build_slot(
     evacuees: Vec<Evacuee>,
     resume: SimTime,
     requests: &[PlacementRequest],
-    ws: &WorkloadSet,
     spec: &GpuSpec,
     params: &BlessParams,
 ) -> Slot {
-    let apps: Vec<DeployedApp> = evacuees
-        .iter()
-        .map(|e| {
-            DeployedApp::new(
-                SharedProfile::clone(&requests[e.tenant].profile),
-                ws.tenants[e.tenant].quota,
-                None,
-            )
-        })
-        .collect();
-    let mut driver = BlessDriver::new(apps, params.clone());
     let mut arrivals: Vec<RequestArrival> = Vec::new();
     let mut req_map: Vec<Vec<usize>> = Vec::with_capacity(evacuees.len());
     for (a, e) in evacuees.iter().enumerate() {
-        driver.restore_share_mode(a, e.mode, e.clean_squads);
         let mut map = Vec::with_capacity(e.outstanding.len() + e.future.len());
         for &fr in &e.outstanding {
             arrivals.push(RequestArrival {
@@ -999,21 +927,14 @@ fn build_slot(
         }
         req_map.push(map);
     }
+    let tenants: Vec<usize> = evacuees.iter().map(|e| e.tenant).collect();
+    let ladder = |a: usize| (evacuees[a].mode, evacuees[a].clean_squads);
+    let sim = gpu_runtime(&tenants, ladder, arrivals, requests, spec, params);
     Slot {
-        tenants: evacuees.into_iter().map(|e| e.tenant).collect(),
+        tenants,
         req_map,
-        sim: Simulation::new(incarnation_gpu(spec), driver, arrivals),
+        sim,
     }
-}
-
-/// The device of one incarnation. Its driver only consumes completion
-/// tags and [`quiesce`] discards the device checkpoint, so retired
-/// instance slots are recycled: engine memory tracks live kernels, not
-/// the simulated time a long-lived device accumulates.
-fn incarnation_gpu(spec: &GpuSpec) -> Gpu {
-    let mut gpu = Gpu::new(spec.clone(), HostCosts::paper());
-    gpu.set_slot_recycling(true);
-    gpu
 }
 
 /// Appends one recovery to the record list and (optionally) the fleet
@@ -1063,6 +984,7 @@ mod tests {
     use crate::run::{run_cluster_opts, ClusterOptions};
     use dnn_models::{AppModel, ModelKind, Phase};
     use profiler::ProfiledApp;
+    use workloads::TenantSpec;
 
     const SEED: u64 = 23;
 
@@ -1562,6 +1484,59 @@ mod tests {
                 modes: 2,
                 tenants: 3
             }
+        );
+    }
+
+    /// [`run_chaos`] on `ws` with `opts`, expecting a typed error.
+    fn chaos_err(
+        ws: &WorkloadSet,
+        profiles: Vec<SharedProfile>,
+        opts: &ChaosOptions,
+    ) -> PlacementError {
+        run_chaos(
+            ws,
+            profiles,
+            4,
+            &GpuSpec::a100(),
+            &BlessParams::default(),
+            horizon(),
+            SEED,
+            &FaultSpec::default(),
+            opts,
+        )
+        .unwrap_err()
+    }
+
+    #[test]
+    fn closed_loop_tenant_is_a_typed_error() {
+        let (_, mut ws, profiles) = fixture(&[0.45, 0.45, 0.45]);
+        ws.tenants[1].pattern = ArrivalPattern::ClosedLoop {
+            think: SimDuration::from_millis(1),
+            count: 2,
+        };
+        let err = chaos_err(&ws, profiles, &ChaosOptions::default());
+        assert_eq!(err, PlacementError::ClosedLoopTenant { tenant: 1 });
+        assert_eq!(
+            err.to_string(),
+            "tenant 1 is closed-loop: run_chaos needs open-loop arrivals"
+        );
+    }
+
+    #[test]
+    fn zero_pinned_check_period_is_a_typed_error() {
+        let (_, ws, profiles) = fixture(&[0.45, 0.45, 0.45]);
+        let opts = ChaosOptions {
+            pinned_evacuation: Some(PinnedPolicy {
+                after_rounds: 2,
+                check_every: SimDuration::ZERO,
+            }),
+            ..ChaosOptions::default()
+        };
+        let err = chaos_err(&ws, profiles, &opts);
+        assert_eq!(err, PlacementError::ZeroCheckPeriod);
+        assert_eq!(
+            err.to_string(),
+            "pinned_evacuation.check_every must be positive"
         );
     }
 

@@ -16,8 +16,9 @@
 //! each GPU's tenants independently (see [`ClusterRun`]).
 //!
 //! Placed GPUs are mutually independent, so [`run_cluster`] simulates
-//! them on a worker pool; [`run_cluster_seq`] is the sequential twin the
-//! differential determinism test compares against, and
+//! them on the shared worker pool ([`sim_core::pool`]); with
+//! `parallel: false` the pool runs inline, and that sequential run is the
+//! twin the differential determinism test compares against.
 //! [`run_cluster_opts`] exposes per-GPU trace capture for the
 //! `experiments --trace` pipeline.
 
@@ -34,6 +35,6 @@ pub use placement::{
     PlacementError, PlacementPolicy, PlacementRequest,
 };
 pub use run::{
-    run_cluster, run_cluster_opts, run_cluster_seq, run_cluster_stream, ClusterOptions, ClusterRun,
-    FleetSummary, GpuRun,
+    run_cluster, run_cluster_opts, run_cluster_stream, ClusterOptions, ClusterRun, FleetSummary,
+    GpuRun,
 };

@@ -113,6 +113,18 @@ pub enum PlacementError {
         /// The referenced GPU slot.
         gpu: usize,
     },
+    /// [`crate::run_cluster_stream`] was asked to capture traces: a
+    /// fleet-wide trace is the O(fleet) buffer streaming exists to avoid.
+    StreamTraceCapture,
+    /// [`crate::run_chaos`] was given a closed-loop tenant, whose client
+    /// state cannot be checkpointed across a migration.
+    ClosedLoopTenant {
+        /// Index of the offending tenant.
+        tenant: usize,
+    },
+    /// [`crate::ChaosOptions::pinned_evacuation`] asks for a periodic
+    /// pinned check every zero nanoseconds.
+    ZeroCheckPeriod,
 }
 
 impl std::fmt::Display for PlacementError {
@@ -145,6 +157,17 @@ impl std::fmt::Display for PlacementError {
             }
             PlacementError::SourceDead { gpu } => {
                 write!(f, "GPU {gpu} is dead or outside the placed fleet")
+            }
+            PlacementError::StreamTraceCapture => write!(
+                f,
+                "run_cluster_stream cannot capture traces; use run_cluster_opts"
+            ),
+            PlacementError::ClosedLoopTenant { tenant } => write!(
+                f,
+                "tenant {tenant} is closed-loop: run_chaos needs open-loop arrivals"
+            ),
+            PlacementError::ZeroCheckPeriod => {
+                write!(f, "pinned_evacuation.check_every must be positive")
             }
         }
     }

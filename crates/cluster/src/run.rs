@@ -2,14 +2,14 @@
 //! per GPU, each driving its own simulated device.
 //!
 //! GPUs are mutually independent once placed — each gets its own
-//! [`Gpu`], [`BlessDriver`], arrival stream, and (optionally) trace sink —
-//! so the fleet is simulated on *sharded* worker threads: each worker
-//! owns a fixed contiguous GPU range (a shard) and drains it
-//! front-to-back, stealing from the tail of other shards once its own is
-//! dry (DESIGN.md §5k). Results land in a preallocated per-GPU slot
-//! arena, so the placement-order merge is a pure move and the merged
-//! [`ClusterRun`] is byte-identical to the sequential twin
-//! ([`run_cluster_seq`]) at any worker count.
+//! [`Gpu`], [`BlessDriver`], arrival stream, and (optionally) trace sink,
+//! all built by one assembly that the chaos runner shares — so the fleet
+//! is simulated on the shared worker pool ([`sim_core::pool`], DESIGN.md
+//! §5k): contiguous GPU shards with back-stealing. Each GPU's result is
+//! written into its own slot by index, so the placement-order merge is a
+//! pure move and the merged [`ClusterRun`] is byte-identical to the
+//! sequential run (`parallel: false`, the pool's inline path) at any
+//! worker count.
 //!
 //! At fleet scale, materializing every [`GpuRun`] is the memory
 //! bottleneck, not the simulation: [`run_cluster_stream`] folds each
@@ -18,17 +18,15 @@
 //! O(fleet) while the summary (including its request-log digest) stays
 //! byte-identical across worker counts.
 
-use std::collections::VecDeque;
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
-use std::sync::{Mutex, PoisonError};
 
 use bless::{BlessDriver, BlessParams, DeployedApp};
 use gpu_sim::{BufferSink, Gpu, GpuSpec, HostCosts, RequestArrival, RunOutcome, Simulation};
 use metrics::{Fnv, RequestLog, ShareMode};
 use profiler::SharedProfile;
 use sim_core::trace::TraceEvent;
-use sim_core::SimTime;
-use workloads::{ArrivalPattern, TenantSpec, WorkloadSet};
+use sim_core::{pool, SimTime};
+use workloads::{ArrivalPattern, WorkloadSet};
 
 use crate::placement::{
     fleet_requests, place_with, Placement, PlacementError, PlacementPolicy, PlacementRequest,
@@ -98,7 +96,8 @@ pub struct ClusterOptions {
     /// Record each GPU's structured trace stream into
     /// [`GpuRun::trace`].
     pub capture_trace: bool,
-    /// Worker-pool size; `None` honours `std::thread::available_parallelism`.
+    /// Worker-pool size, resolved by [`sim_core::pool::workers`]: `None`
+    /// means one worker per available CPU.
     pub workers: Option<usize>,
     /// Shard a GPU into per-tenant lanes automatically when its
     /// [`BlessDriver::lane_hints`] report a fully sharded tenancy (every
@@ -163,31 +162,6 @@ pub fn run_cluster<P: Into<SharedProfile>>(
     )
 }
 
-/// [`run_cluster`] forced onto the sequential single-thread path. Exists
-/// as the differential-determinism twin: the parallel runner must produce
-/// byte-identical output to this.
-pub fn run_cluster_seq<P: Into<SharedProfile>>(
-    ws: &WorkloadSet,
-    profiles: Vec<P>,
-    fleet_size: usize,
-    spec: &GpuSpec,
-    params: &BlessParams,
-    horizon: SimTime,
-) -> Result<ClusterRun, PlacementError> {
-    run_cluster_opts(
-        ws,
-        profiles,
-        fleet_size,
-        spec,
-        params,
-        horizon,
-        &ClusterOptions {
-            parallel: false,
-            ..ClusterOptions::default()
-        },
-    )
-}
-
 /// [`run_cluster`] with explicit [`ClusterOptions`].
 pub fn run_cluster_opts<P: Into<SharedProfile>>(
     ws: &WorkloadSet,
@@ -207,161 +181,21 @@ pub fn run_cluster_opts<P: Into<SharedProfile>>(
         &opts.placement_policy,
     )?;
 
-    let workers = worker_count(opts, placement.gpus_used);
-    let gpus = if workers <= 1 || placement.gpus_used <= 1 {
-        (0..placement.gpus_used)
-            .map(|g| run_one_gpu(g, &placement, ws, &requests, spec, params, horizon, opts))
-            .collect()
-    } else {
-        run_gpus_parallel(
-            &placement, ws, &requests, spec, params, horizon, opts, workers,
-        )
-    };
-
-    Ok(ClusterRun { placement, gpus })
-}
-
-/// Resolves [`ClusterOptions`] into an effective worker count for a fleet
-/// of `gpus` devices.
-fn worker_count(opts: &ClusterOptions, gpus: usize) -> usize {
-    if opts.parallel {
-        opts.workers
-            .or_else(|| std::thread::available_parallelism().ok().map(|n| n.get()))
-            .unwrap_or(1)
-            .clamp(1, gpus.max(1))
-    } else {
-        1
-    }
-}
-
-/// Fixed GPU-range shards with tail stealing.
-///
-/// Shard `s` owns the contiguous range `[s·chunk, (s+1)·chunk)` and
-/// drains it front-to-back; a worker whose shard runs dry steals from the
-/// *tail* of the next non-empty shard, so stolen work is the work the
-/// owner would have reached last. Contiguous ranges keep each worker's
-/// slot-arena writes clustered; stealing absorbs load imbalance from
-/// heterogeneous tenancies without perturbing the output (results are
-/// keyed by GPU index, never by completion order).
-struct ShardPool {
-    queues: Vec<Mutex<VecDeque<usize>>>,
-}
-
-impl ShardPool {
-    fn new(gpus: usize, shards: usize) -> Self {
-        let shards = shards.max(1);
-        let chunk = gpus.div_ceil(shards);
-        let queues = (0..shards)
-            .map(|s| {
-                let lo = (s * chunk).min(gpus);
-                let hi = ((s + 1) * chunk).min(gpus);
-                Mutex::new((lo..hi).collect())
-            })
-            .collect();
-        ShardPool { queues }
-    }
-
-    /// Next GPU for worker `shard`: its own shard's head, else a steal
-    /// from the tail of the nearest non-empty shard, else `None` (all
-    /// work claimed; no new work is ever produced, so `None` is final).
-    fn next(&self, shard: usize) -> Option<usize> {
-        if let Some(g) = self.queues[shard]
-            .lock()
-            .unwrap_or_else(PoisonError::into_inner)
-            .pop_front()
-        {
-            return Some(g);
-        }
-        let n = self.queues.len();
-        for off in 1..n {
-            let victim = (shard + off) % n;
-            if let Some(g) = self.queues[victim]
-                .lock()
-                .unwrap_or_else(PoisonError::into_inner)
-                .pop_back()
-            {
-                return Some(g);
-            }
-        }
-        None
-    }
-}
-
-/// Simulates the fleet on `workers` sharded threads, handing each
-/// finished [`GpuRun`] to `consume` (on the worker thread that produced
-/// it). Both fleet paths build on this: the materializing path's consumer
-/// moves the run into its slot arena; the streaming path's folds it into
-/// a [`FleetSummary`] and drops it.
-#[allow(clippy::too_many_arguments)]
-fn run_gpus_sharded<F>(
-    placement: &Placement,
-    ws: &WorkloadSet,
-    requests: &[PlacementRequest],
-    spec: &GpuSpec,
-    params: &BlessParams,
-    horizon: SimTime,
-    opts: &ClusterOptions,
-    workers: usize,
-    consume: &F,
-) where
-    F: Fn(GpuRun) + Sync,
-{
-    let pool = ShardPool::new(placement.gpus_used, workers);
-    std::thread::scope(|scope| {
-        for w in 0..workers {
-            let pool = &pool;
-            scope.spawn(move || {
-                while let Some(g) = pool.next(w) {
-                    consume(run_one_gpu(
-                        g, placement, ws, requests, spec, params, horizon, opts,
-                    ));
-                }
-            });
-        }
-    });
-}
-
-/// Materializing fleet run: every GPU's result lands in a preallocated
-/// per-GPU slot, so the placement-order merge is a pure move — the output
-/// is byte-identical to the sequential loop at any worker count.
-#[allow(clippy::too_many_arguments)]
-fn run_gpus_parallel(
-    placement: &Placement,
-    ws: &WorkloadSet,
-    requests: &[PlacementRequest],
-    spec: &GpuSpec,
-    params: &BlessParams,
-    horizon: SimTime,
-    opts: &ClusterOptions,
-    workers: usize,
-) -> Vec<GpuRun> {
-    let slots: Vec<Mutex<Option<GpuRun>>> =
-        (0..placement.gpus_used).map(|_| Mutex::new(None)).collect();
-    run_gpus_sharded(
-        placement,
-        ws,
-        requests,
-        spec,
-        params,
-        horizon,
-        opts,
-        workers,
-        &|run: GpuRun| {
-            let g = run.gpu;
-            *slots[g].lock().unwrap_or_else(PoisonError::into_inner) = Some(run);
-        },
+    let mut gpus: Vec<Option<GpuRun>> = (0..placement.gpus_used).map(|_| None).collect();
+    let workers = pool::workers(
+        if opts.parallel { opts.workers } else { Some(1) },
+        placement.gpus_used,
     );
-    // A panicking worker propagates out of the scope above, so every slot
-    // holds exactly one result here.
-    slots
+    pool::for_each_mut(&mut gpus, workers, |g, slot| {
+        *slot = Some(run_one_gpu(
+            g, &placement, ws, &requests, spec, params, horizon, opts,
+        ));
+    });
+    let gpus = gpus
         .into_iter()
-        .enumerate()
-        .map(|(g, slot)| {
-            slot.into_inner()
-                .unwrap_or_else(PoisonError::into_inner)
-                .unwrap_or_else(|| panic!("gpu {g} produced no result"))
-        })
-        .collect()
+        .map(|run| run.unwrap_or_else(|| unreachable!("the pool visits every GPU")))
+        .collect();
+    Ok(ClusterRun { placement, gpus })
 }
 
 /// Streaming summary of a fleet run — everything the fleet-scale
@@ -370,8 +204,8 @@ fn run_gpus_parallel(
 ///
 /// All fields are byte-stable across worker counts: counters are exact
 /// integer sums (commutative), and the two order-sensitive folds (the
-/// fleet digest and the utilization mean) run over per-GPU slots in GPU
-/// index order after the workers join.
+/// fleet digest and the utilization mean) run over the per-GPU words in
+/// GPU index order after the pool returns.
 #[derive(Clone, Debug, PartialEq)]
 pub struct FleetSummary {
     /// The placement that was simulated.
@@ -410,11 +244,11 @@ impl FleetSummary {
     }
 }
 
-/// The shared fold target of [`run_cluster_stream`]: commutative atomic
-/// counters plus per-GPU word slots for the order-sensitive parts.
-struct FleetAccumulator {
-    digests: Vec<AtomicU64>,
-    utilization_bits: Vec<AtomicU64>,
+/// The commutative part of a [`FleetSummary`], folded in by whichever
+/// worker finishes a GPU: exact integer sums and maxima, which completion
+/// order cannot change.
+#[derive(Default)]
+struct FleetCounters {
     completed_gpus: AtomicUsize,
     arrived: AtomicU64,
     completed: AtomicU64,
@@ -423,20 +257,7 @@ struct FleetAccumulator {
     max_instance_slots: AtomicUsize,
 }
 
-impl FleetAccumulator {
-    fn new(gpus: usize) -> Self {
-        FleetAccumulator {
-            digests: (0..gpus).map(|_| AtomicU64::new(0)).collect(),
-            utilization_bits: (0..gpus).map(|_| AtomicU64::new(0)).collect(),
-            completed_gpus: AtomicUsize::new(0),
-            arrived: AtomicU64::new(0),
-            completed: AtomicU64::new(0),
-            latency_ns: AtomicU64::new(0),
-            max_latency_ns: AtomicU64::new(0),
-            max_instance_slots: AtomicUsize::new(0),
-        }
-    }
-
+impl FleetCounters {
     /// Folds one GPU's result in; the caller drops the run (and its log,
     /// trace, and tenant buffers) immediately after.
     fn fold(&self, run: &GpuRun) {
@@ -464,34 +285,6 @@ impl FleetAccumulator {
         if run.outcome == RunOutcome::Completed {
             self.completed_gpus.fetch_add(1, Ordering::Relaxed);
         }
-        self.digests[run.gpu].store(run.log.digest(), Ordering::Relaxed);
-        self.utilization_bits[run.gpu].store(run.utilization.to_bits(), Ordering::Relaxed);
-    }
-
-    /// Final GPU-order folds, after all workers joined.
-    fn finish(self, placement: Placement) -> FleetSummary {
-        let mut h = Fnv::new();
-        let mut util_sum = 0.0f64;
-        for (d, u) in self.digests.iter().zip(&self.utilization_bits) {
-            h.write_u64(d.load(Ordering::Relaxed));
-            util_sum += f64::from_bits(u.load(Ordering::Relaxed));
-        }
-        let gpus = self.digests.len();
-        FleetSummary {
-            placement,
-            completed_gpus: self.completed_gpus.into_inner(),
-            arrived_requests: self.arrived.into_inner(),
-            completed_requests: self.completed.into_inner(),
-            latency_sum_ns: self.latency_ns.into_inner(),
-            max_latency_ns: self.max_latency_ns.into_inner(),
-            max_instance_slots: self.max_instance_slots.into_inner(),
-            mean_utilization: if gpus > 0 {
-                util_sum / gpus as f64
-            } else {
-                0.0
-            },
-            digest: h.finish(),
-        }
     }
 }
 
@@ -500,14 +293,12 @@ impl FleetAccumulator {
 /// buffers are freed, so resident memory stays O(workers) GPU results
 /// (plus two words per GPU) instead of O(fleet). The summary — including
 /// its fleet digest — is byte-identical across worker counts and to
-/// summarizing a materialized [`run_cluster_seq`] run.
+/// summarizing a materialized sequential run (`parallel: false`).
 ///
-/// Trace capture is refused (a fleet-wide trace is exactly the O(fleet)
-/// buffer this path exists to avoid); use [`run_cluster_opts`] for that.
-///
-/// # Panics
-///
-/// Panics if `opts.capture_trace` is set.
+/// Trace capture is refused with
+/// [`PlacementError::StreamTraceCapture`] (a fleet-wide trace is exactly
+/// the O(fleet) buffer this path exists to avoid); use
+/// [`run_cluster_opts`] for that.
 pub fn run_cluster_stream<P: Into<SharedProfile>>(
     ws: &WorkloadSet,
     profiles: Vec<P>,
@@ -517,11 +308,10 @@ pub fn run_cluster_stream<P: Into<SharedProfile>>(
     horizon: SimTime,
     opts: &ClusterOptions,
 ) -> Result<FleetSummary, PlacementError> {
-    assert!(
-        !opts.capture_trace,
-        "run_cluster_stream cannot capture traces; use run_cluster_opts"
-    );
     let requests = fleet_requests(ws, profiles, opts.initial_modes.as_deref())?;
+    if opts.capture_trace {
+        return Err(PlacementError::StreamTraceCapture);
+    }
     let placement = place_with(
         &requests,
         fleet_size,
@@ -530,32 +320,100 @@ pub fn run_cluster_stream<P: Into<SharedProfile>>(
         &opts.placement_policy,
     )?;
 
-    let acc = FleetAccumulator::new(placement.gpus_used);
-    let workers = worker_count(opts, placement.gpus_used);
-    if workers <= 1 || placement.gpus_used <= 1 {
-        for g in 0..placement.gpus_used {
-            acc.fold(&run_one_gpu(
-                g, &placement, ws, &requests, spec, params, horizon, opts,
-            ));
-        }
-    } else {
-        run_gpus_sharded(
-            &placement,
-            ws,
-            &requests,
-            spec,
-            params,
-            horizon,
-            opts,
-            workers,
-            &|run: GpuRun| acc.fold(&run),
-        );
+    // Per GPU, the two order-sensitive words — request-log digest and
+    // utilization — written through the pool element and folded in GPU
+    // order after the pool returns.
+    let mut words = vec![(0u64, 0.0f64); placement.gpus_used];
+    let counters = FleetCounters::default();
+    let workers = pool::workers(
+        if opts.parallel { opts.workers } else { Some(1) },
+        placement.gpus_used,
+    );
+    pool::for_each_mut(&mut words, workers, |g, (digest, utilization)| {
+        let run = run_one_gpu(g, &placement, ws, &requests, spec, params, horizon, opts);
+        counters.fold(&run);
+        *digest = run.log.digest();
+        *utilization = run.utilization;
+    });
+    let mut h = Fnv::new();
+    let mut util_sum = 0.0f64;
+    for &(digest, utilization) in &words {
+        h.write_u64(digest);
+        util_sum += utilization;
     }
-    Ok(acc.finish(placement))
+    Ok(FleetSummary {
+        placement,
+        completed_gpus: counters.completed_gpus.into_inner(),
+        arrived_requests: counters.arrived.into_inner(),
+        completed_requests: counters.completed.into_inner(),
+        latency_sum_ns: counters.latency_ns.into_inner(),
+        max_latency_ns: counters.max_latency_ns.into_inner(),
+        max_instance_slots: counters.max_instance_slots.into_inner(),
+        mean_utilization: if words.is_empty() {
+            0.0
+        } else {
+            util_sum / words.len() as f64
+        },
+        digest: h.finish(),
+    })
 }
 
-/// Simulates one GPU's tenants to completion — the unit of work both the
-/// sequential loop and the worker pool execute.
+/// GPU `g`'s local workload: its `tenants`' specs, app ids remapped to
+/// local positions, under the fleet seed offset by `g`. Every runner that
+/// assembles GPU `g` draws its arrival schedule from this.
+pub(crate) fn gpu_workload(ws: &WorkloadSet, tenants: &[usize], g: usize) -> WorkloadSet {
+    WorkloadSet::new(
+        tenants.iter().map(|&t| ws.tenants[t].clone()).collect(),
+        ws.seed.wrapping_add(g as u64),
+    )
+}
+
+/// One GPU's replicated BLESS runtime (§4.2.2), the assembly every fleet
+/// runner shares: a driver over `tenants` (fleet ids; deployment shares
+/// the interned profiles, so no kernel table is copied) with local app
+/// `a`'s degradation-ladder position `ladder(a) = (mode, clean_squads)`
+/// restored before the first arrival, on a fresh device. The driver only
+/// consumes completion tags, so retired instance slots are recycled:
+/// engine memory tracks live kernels, not simulated time.
+pub(crate) fn gpu_runtime(
+    tenants: &[usize],
+    ladder: impl Fn(usize) -> (ShareMode, u32),
+    arrivals: Vec<RequestArrival>,
+    requests: &[PlacementRequest],
+    spec: &GpuSpec,
+    params: &BlessParams,
+) -> Simulation<BlessDriver> {
+    let apps = tenants
+        .iter()
+        .map(|&t| {
+            DeployedApp::new(
+                SharedProfile::clone(&requests[t].profile),
+                requests[t].quota,
+                None,
+            )
+        })
+        .collect();
+    let mut driver = BlessDriver::new(apps, params.clone());
+    for a in 0..tenants.len() {
+        let (mode, clean_squads) = ladder(a);
+        driver.restore_share_mode(a, mode, clean_squads);
+    }
+    let mut gpu = Gpu::new(spec.clone(), HostCosts::paper());
+    gpu.set_slot_recycling(true);
+    Simulation::new(gpu, driver, arrivals)
+}
+
+/// The ladder of a freshly placed GPU's `tenants`: each at its pinned
+/// initial mode (semi-spatial when none is pinned), with no clean squads.
+pub(crate) fn initial_ladder<'a>(
+    modes: Option<&'a [ShareMode]>,
+    tenants: &'a [usize],
+) -> impl Fn(usize) -> (ShareMode, u32) + 'a {
+    move |a| (modes.map_or(ShareMode::SemiSpatial, |m| m[tenants[a]]), 0)
+}
+
+/// Simulates one GPU's tenants to completion — the unit of work the
+/// fleet pool hands out.
 #[allow(clippy::too_many_arguments)]
 fn run_one_gpu(
     g: usize,
@@ -568,70 +426,42 @@ fn run_one_gpu(
     opts: &ClusterOptions,
 ) -> GpuRun {
     let tenants = placement.tenants_of(g);
-    // Build a GPU-local workload with remapped app ids.
-    let local_ws = WorkloadSet::new(
-        tenants
-            .iter()
-            .map(|&t| {
-                TenantSpec::new(
-                    ws.tenants[t].model.clone(),
-                    ws.tenants[t].quota,
-                    ws.tenants[t].pattern.clone(),
-                )
-            })
-            .collect(),
-        ws.seed.wrapping_add(g as u64),
+    let local_ws = gpu_workload(ws, &tenants, g);
+    let mut sim = gpu_runtime(
+        &tenants,
+        initial_ladder(opts.initial_modes.as_deref(), &tenants),
+        local_ws.initial_arrivals(),
+        requests,
+        spec,
+        params,
     );
-    // Deployment shares the interned profiles — no kernel-table copies.
-    let apps: Vec<DeployedApp> = tenants
-        .iter()
-        .map(|&t| {
-            DeployedApp::new(
-                SharedProfile::clone(&requests[t].profile),
-                ws.tenants[t].quota,
-                None,
-            )
-        })
-        .collect();
-    let mut driver = BlessDriver::new(apps, params.clone());
-    if let Some(modes) = &opts.initial_modes {
-        for (local, &t) in tenants.iter().enumerate() {
-            driver.restore_share_mode(local, modes[t], 0);
-        }
-    }
-    // PR 6 follow-on: when the runtime's own lane hints certify the
-    // tenancy as fully sharded, promote the hint into an actual lane
-    // split — each tenant simulates on its own isolated engine. Trace
-    // capture stays monolithic (lane streams have per-lane queue/seq
-    // namespaces), as do closed-loop tenants (their client state lives
-    // in one shared notice handler).
+    // When the runtime's own lane hints certify the tenancy as fully
+    // sharded, promote the hint into an actual lane split — each tenant
+    // simulates on its own isolated engine. Trace capture stays
+    // monolithic (lane streams have per-lane queue/seq namespaces), as do
+    // closed-loop tenants (their client state lives in one shared notice
+    // handler).
     let open_loop = local_ws
         .tenants
         .iter()
         .all(|t| !matches!(t.pattern, ArrivalPattern::ClosedLoop { .. }));
     if opts.lane_sharding && !opts.capture_trace && open_loop {
-        let hints = driver.lane_hints(spec.num_sms);
+        let hints = sim.driver.lane_hints(spec.num_sms);
         if hints.is_fully_sharded() && hints.num_lanes() > 1 {
-            let modes: Vec<ShareMode> = (0..tenants.len()).map(|a| driver.share_mode(a)).collect();
+            let modes: Vec<ShareMode> = (0..tenants.len())
+                .map(|a| sim.driver.share_mode(a))
+                .collect();
             return run_one_gpu_sharded(
                 g, tenants, &local_ws, requests, &modes, spec, params, horizon,
             );
         }
     }
-    let mut gpu = Gpu::new(spec.clone(), HostCosts::paper());
-    // The driver only consumes completion tags, so retired instance
-    // slots are recycled: engine memory tracks live kernels, not time.
-    gpu.set_slot_recycling(true);
-    let sink = if opts.capture_trace {
+    let sink = opts.capture_trace.then(|| {
         let s = BufferSink::new();
-        gpu.set_trace_sink(Box::new(s.clone()));
-        Some(s)
-    } else {
-        None
-    };
-    let arrivals: Vec<RequestArrival> = local_ws.initial_arrivals();
-    let mut sim =
-        Simulation::new(gpu, driver, arrivals).with_notice_handler(local_ws.notice_handler());
+        sim.gpu.set_trace_sink(Box::new(s.clone()));
+        s
+    });
+    let mut sim = sim.with_notice_handler(local_ws.notice_handler());
     let outcome = sim.run(horizon);
     let makespan = sim.gpu.now().as_secs_f64();
     let utilization = if makespan > 0.0 {
@@ -681,17 +511,15 @@ fn run_one_gpu_sharded(
     let mut makespan = 0.0f64;
     let mut instance_slots = 0;
     for (lane, arrivals) in per_lane.into_iter().enumerate() {
-        let t = tenants[lane];
-        let app = DeployedApp::new(
-            SharedProfile::clone(&requests[t].profile),
-            requests[t].quota,
-            None,
+        let ladder = |_| (modes[lane], 0);
+        let mut sim = gpu_runtime(
+            &tenants[lane..=lane],
+            ladder,
+            arrivals,
+            requests,
+            spec,
+            params,
         );
-        let mut driver = BlessDriver::new(vec![app], params.clone());
-        driver.restore_share_mode(0, modes[lane], 0);
-        let mut gpu = Gpu::new(spec.clone(), HostCosts::paper());
-        gpu.set_slot_recycling(true);
-        let mut sim = Simulation::new(gpu, driver, arrivals);
         let lane_outcome = sim.run(horizon);
         instance_slots += sim.gpu.instance_slots();
         if outcome == RunOutcome::Completed {
@@ -730,7 +558,15 @@ mod tests {
     use dnn_models::{AppModel, ModelKind, Phase};
     use profiler::ProfiledApp;
     use sim_core::SimDuration;
-    use workloads::ArrivalPattern;
+    use workloads::{ArrivalPattern, TenantSpec};
+
+    /// Options forcing the sequential path: the pool runs inline.
+    fn sequential() -> ClusterOptions {
+        ClusterOptions {
+            parallel: false,
+            ..ClusterOptions::default()
+        }
+    }
 
     fn four_tenant_fixture() -> (GpuSpec, WorkloadSet, Vec<SharedProfile>) {
         let spec = GpuSpec::a100();
@@ -795,7 +631,8 @@ mod tests {
         };
         let par =
             run_cluster_opts(&ws, profiles.clone(), 4, &spec, &params, horizon, &opts).unwrap();
-        let seq = run_cluster_seq(&ws, profiles, 4, &spec, &params, horizon).unwrap();
+        let seq =
+            run_cluster_opts(&ws, profiles, 4, &spec, &params, horizon, &sequential()).unwrap();
         assert_eq!(par.placement, seq.placement);
         assert_eq!(par.gpus.len(), seq.gpus.len());
         for (p, s) in par.gpus.iter().zip(&seq.gpus) {
@@ -971,6 +808,30 @@ mod tests {
         assert_eq!(err, MODES_MISMATCH);
     }
 
+    #[test]
+    fn streaming_trace_capture_is_a_typed_error() {
+        let (spec, ws, profiles) = four_tenant_fixture();
+        let opts = ClusterOptions {
+            capture_trace: true,
+            ..ClusterOptions::default()
+        };
+        let err = run_cluster_stream(
+            &ws,
+            profiles,
+            4,
+            &spec,
+            &BlessParams::default(),
+            SimTime::from_secs(10),
+            &opts,
+        )
+        .unwrap_err();
+        assert_eq!(err, PlacementError::StreamTraceCapture);
+        assert_eq!(
+            err.to_string(),
+            "run_cluster_stream cannot capture traces; use run_cluster_opts"
+        );
+    }
+
     fn strict_pair_fixture() -> (GpuSpec, WorkloadSet, Vec<SharedProfile>) {
         let spec = GpuSpec::a100();
         let kinds = [ModelKind::Vgg11, ModelKind::ResNet50];
@@ -1095,7 +956,16 @@ mod tests {
         let horizon = SimTime::from_secs(60);
         let params = BlessParams::default();
         // Ground truth: the materialized sequential run, folded by hand.
-        let seq = run_cluster_seq(&ws, profiles.clone(), 4, &spec, &params, horizon).unwrap();
+        let seq = run_cluster_opts(
+            &ws,
+            profiles.clone(),
+            4,
+            &spec,
+            &params,
+            horizon,
+            &sequential(),
+        )
+        .unwrap();
         let mut h = Fnv::new();
         for g in &seq.gpus {
             h.write_u64(g.log.digest());
@@ -1228,7 +1098,16 @@ mod tests {
                 run_cluster_stream(&ws, profiles.clone(), 4, &spec, &params, horizon, &opts)
                     .unwrap();
             assert!(summary.all_completed());
-            let seq = run_cluster_seq(&ws, profiles.clone(), 4, &spec, &params, horizon).unwrap();
+            let seq = run_cluster_opts(
+                &ws,
+                profiles.clone(),
+                4,
+                &spec,
+                &params,
+                horizon,
+                &sequential(),
+            )
+            .unwrap();
             let kernels: usize = seq
                 .gpus
                 .iter()

@@ -13,8 +13,8 @@
 //! this: each lane runs its own [`Gpu`] (with per-lane event queue,
 //! allocator pools, and interference scope), so per-event cost scales
 //! with the *lane's* running kernels and pending events instead of the
-//! device's — and lanes can advance on separate OS threads between
-//! interaction points.
+//! device's — and lanes can advance side by side on the shared worker
+//! pool ([`sim_core::pool`]) between interaction points.
 //!
 //! # The deterministic merge
 //!
@@ -58,7 +58,7 @@
 //! [`Gpu::launch_table_delayed`].
 
 use sim_core::trace::{BufferSink, TraceEvent};
-use sim_core::SimTime;
+use sim_core::{pool, SimTime};
 
 use crate::engine::{DeviceCheckpoint, Gpu, StepOutput};
 use crate::spec::{GpuSpec, HostCosts};
@@ -104,9 +104,7 @@ impl LaneEngine {
     /// is asserting that the lanes are isolated from each other (hard
     /// partitions or zero cross-lane interference).
     pub fn from_gpus(gpus: Vec<Gpu>) -> Self {
-        let workers = std::thread::available_parallelism()
-            .map(|n| n.get())
-            .unwrap_or(1);
+        let workers = pool::workers(None, gpus.len());
         let lanes = gpus
             .into_iter()
             .map(|gpu| Lane {
@@ -148,9 +146,9 @@ impl LaneEngine {
         &mut self.lanes[lane].gpu
     }
 
-    /// Caps the OS threads the parallel paths use (at least 1; at most
-    /// one per lane is ever spawned). Defaults to the host's available
-    /// parallelism. Thread count never affects results, only wall-clock.
+    /// Caps the workers the parallel paths use (at least 1; at most one
+    /// per lane). Defaults to the host's available parallelism. The
+    /// worker count never affects results, only wall-clock.
     pub fn set_workers(&mut self, workers: usize) {
         self.workers = workers.max(1);
     }
@@ -245,7 +243,7 @@ impl LaneEngine {
     /// count: lanes are isolated, so each lane's stream is independent of
     /// thread interleaving, and the merge key equals the sequential pick
     /// order. Reuses per-lane buffers; allocation-free in steady state
-    /// aside from per-round thread spawning.
+    /// aside from the pool's per-round thread spawning.
     pub fn drain_par_into(&mut self, out: &mut Vec<MergedOutput>) {
         self.run_lanes(None);
         self.merge_outputs(out);
@@ -291,33 +289,12 @@ impl LaneEngine {
     }
 
     /// Advances each lane (to `limit`, or to completion when `None`),
-    /// filling each lane's `out` buffer, using up to `self.workers`
-    /// threads.
+    /// filling each lane's `out` buffer, on up to `self.workers` workers.
     fn run_lanes(&mut self, limit: Option<SimTime>) {
-        let workers = self.workers.min(self.lanes.len()).max(1);
-        if workers <= 1 {
-            for lane in &mut self.lanes {
-                Self::run_lane(lane, limit);
-            }
-            return;
-        }
-        let chunk = self.lanes.len().div_ceil(workers);
-        std::thread::scope(|s| {
-            for lanes in self.lanes.chunks_mut(chunk) {
-                s.spawn(move || {
-                    for lane in lanes {
-                        Self::run_lane(lane, limit);
-                    }
-                });
-            }
-        });
-    }
-
-    fn run_lane(lane: &mut Lane, limit: Option<SimTime>) {
-        match limit {
+        pool::for_each_mut(&mut self.lanes, self.workers, |_, lane| match limit {
             Some(t) => lane.gpu.advance_until(t, &mut lane.out),
             None => lane.gpu.drain_outputs_into(&mut lane.out),
-        }
+        });
     }
 
     /// K-way merge of the per-lane `out` buffers by

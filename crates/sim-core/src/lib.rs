@@ -20,14 +20,21 @@
 //!   rings with batched drain and producer watermarks, the ingest handoff
 //!   of the serving front-end (DESIGN.md §5l). Allocates only at
 //!   construction, never in steady state.
+//! * [`pool::for_each_mut`] — the one deterministic worker pool:
+//!   contiguous shards with back-stealing, results written per element
+//!   by index, so output never depends on the worker count.
 //!
-//! The simulator is single-threaded by design: GPU scheduling experiments
-//! need deterministic replay far more than they need wall-clock speed, and
-//! the fluid-model GPU simulation in `gpu-sim` is cheap enough that entire
-//! paper-scale experiments complete in milliseconds of host time.
+//! Each simulation is single-threaded by design: GPU scheduling
+//! experiments need deterministic replay far more than they need
+//! wall-clock speed, and the fluid-model GPU simulation in `gpu-sim` is
+//! cheap enough that entire paper-scale experiments complete in
+//! milliseconds of host time. Only independent simulations — fleet GPUs,
+//! lanes of a sharded GPU, whole experiments — run side by side, on
+//! [`pool`].
 
 pub mod event;
 pub mod fault;
+pub mod pool;
 pub mod rng;
 pub mod spsc;
 pub mod time;

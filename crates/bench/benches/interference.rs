@@ -1,6 +1,10 @@
 //! Interference-model microbenchmark: steady-state engine throughput under
-//! the scalar interference model vs the per-resource channel model, plus
-//! the regression gate keeping the channel hot loop within 15% of scalar.
+//! the calibrated four-channel curves (`GpuSpec::a100_per_resource`) vs
+//! the paper's one-channel scalar curve (`GpuSpec::a100`), plus the
+//! regression gate keeping the four-channel model within 15% of the
+//! one-channel curve. Both run the engine's one interference loop; the
+//! four-channel set adds live per-channel curves to every reallocation.
+//! The snapshot keys keep their `scalar` names for the one-channel side.
 //!
 //! Run with `cargo bench -p bench --bench interference` to rewrite
 //! `BENCH_interference.json` at the repo root; set `BENCH_QUICK=1` for the
@@ -17,8 +21,8 @@ use gpu_sim::{
 };
 use sim_core::SimDuration;
 
-/// The per-resource hot loop must retain at least this fraction of the
-/// scalar model's throughput (the 4-channel gather/max adds work to every
+/// The four-channel model must retain at least this fraction of the
+/// one-channel curve's throughput (its live channels add work to every
 /// reallocation, but only O(channels) of it).
 const RATIO_FLOOR: f64 = 0.85;
 

@@ -31,8 +31,8 @@ pub use chaos::{
     SkippedFault, StrandedTenant,
 };
 pub use placement::{
-    place, place_linear, place_with, predicted_fleet_slowdown, ContentionOpts, Placement,
-    PlacementError, PlacementPolicy, PlacementRequest,
+    place, place_with, predicted_fleet_slowdown, ContentionOpts, Placement, PlacementError,
+    PlacementPolicy, PlacementRequest,
 };
 pub use run::{
     run_cluster, run_cluster_opts, run_cluster_stream, ClusterOptions, ClusterRun, FleetSummary,

@@ -8,8 +8,8 @@
 //!   is `O(log n)` instead of a linear scan over the opened fleet. The
 //!   index answers exactly the question the old scan asked — the
 //!   lowest-numbered GPU whose quota headroom admits the request — so
-//!   placements are byte-identical to [`place_linear`], the retained
-//!   linear twin the differential property test compares against.
+//!   placements are byte-identical to the retained linear scan, a
+//!   test-only twin the differential property test compares against.
 //! * [`PlacementPolicy::ContentionAware`] — the same quota/admission
 //!   feasibility rules, but among the first `top_k` admissible GPUs the
 //!   controller picks the one minimizing the *predicted bottleneck
@@ -219,7 +219,7 @@ const QUOTA_LIMIT: f64 = 1.0 + 1e-9;
 pub enum PlacementPolicy {
     /// Lowest-numbered GPU whose quota headroom and admission check accept
     /// the request (classic first-fit; byte-identical to the pre-index
-    /// linear scan, [`place_linear`]).
+    /// linear scan).
     #[default]
     FirstFit,
     /// Among the first [`ContentionOpts::top_k`] admissible GPUs, the one
@@ -399,7 +399,7 @@ fn ffd_order(requests: &[PlacementRequest]) -> Result<Vec<usize>, PlacementError
 
 /// Packs `requests` onto at most `fleet_size` GPUs with `memory_mib` each
 /// under first-fit decreasing — the indexed fast path, byte-identical to
-/// [`place_linear`]. See [`place_with`] for policy selection.
+/// the pre-index linear scan. See [`place_with`] for policy selection.
 pub fn place(
     requests: &[PlacementRequest],
     fleet_size: usize,
@@ -602,7 +602,8 @@ fn colocation_score(
 /// The pre-index linear first-fit scan, retained verbatim as the
 /// differential twin: [`place`] (the indexed path) must produce
 /// byte-identical placements. Exercised by the placement property tests.
-pub fn place_linear(
+#[cfg(test)]
+fn place_linear(
     requests: &[PlacementRequest],
     fleet_size: usize,
     memory_mib: u64,
@@ -690,6 +691,7 @@ mod tests {
     use super::*;
     use dnn_models::{AppModel, ModelKind, Phase};
     use gpu_sim::{Channel, GpuSpec};
+    use proptest::prelude::*;
 
     fn profiled(kind: ModelKind) -> SharedProfile {
         ProfiledApp::profile_shared(&AppModel::build(kind, Phase::Inference), &GpuSpec::a100())
@@ -976,5 +978,33 @@ mod tests {
         assert_eq!(p.gpus_used, 2);
         let s = predicted_fleet_slowdown(&reqs, &p, &ChannelParams::a100());
         assert_eq!(s, 1.0);
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(64))]
+
+        /// Differential twin: the segment-tree capacity index must
+        /// reproduce the retired linear scan exactly — same packing on
+        /// success, same typed error on rejection — for any request mix
+        /// and fleet size.
+        #[test]
+        fn prop_indexed_first_fit_matches_linear_scan(
+            specs in proptest::collection::vec((0usize..4, 1u32..=10), 1..40),
+            fleet in 1usize..32,
+        ) {
+            let kinds = [ModelKind::Vgg11, ModelKind::ResNet50, ModelKind::ResNet101, ModelKind::Bert];
+            let profiles = kinds.map(profiled);
+            let reqs: Vec<PlacementRequest> = specs
+                .iter()
+                .map(|&(m, q)| PlacementRequest {
+                    profile: profiles[m].clone(),
+                    quota: q as f64 / 10.0,
+                })
+                .collect();
+            let policy = AdmissionPolicy::default();
+            let indexed = place(&reqs, fleet, 40 * 1024, &policy);
+            let linear = place_linear(&reqs, fleet, 40 * 1024, &policy);
+            prop_assert_eq!(indexed, linear);
+        }
     }
 }

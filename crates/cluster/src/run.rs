@@ -172,7 +172,46 @@ pub fn run_cluster_opts<P: Into<SharedProfile>>(
     horizon: SimTime,
     opts: &ClusterOptions,
 ) -> Result<ClusterRun, PlacementError> {
+    let (placement, gpus) = run_fleet(
+        ws,
+        profiles,
+        fleet_size,
+        spec,
+        params,
+        horizon,
+        opts,
+        false,
+        |run, slot: &mut Option<GpuRun>| *slot = Some(run),
+    )?;
+    let gpus = gpus
+        .into_iter()
+        .map(|run| run.unwrap_or_else(|| unreachable!("the pool visits every GPU")))
+        .collect();
+    Ok(ClusterRun { placement, gpus })
+}
+
+/// The prologue and pool both fleet entry points share: interns the
+/// tenants ([`fleet_requests`]), refuses trace capture when `streaming`
+/// (before anything is placed), places them, and simulates every placed
+/// GPU on the pool. GPU `g`'s run is handed to `per_gpu` with element `g`
+/// of the returned vector, in any order; dropping the run there is what
+/// keeps the streaming path at O(workers) live runs.
+#[allow(clippy::too_many_arguments)]
+fn run_fleet<P: Into<SharedProfile>, T: Default + Send>(
+    ws: &WorkloadSet,
+    profiles: Vec<P>,
+    fleet_size: usize,
+    spec: &GpuSpec,
+    params: &BlessParams,
+    horizon: SimTime,
+    opts: &ClusterOptions,
+    streaming: bool,
+    per_gpu: impl Fn(GpuRun, &mut T) + Sync,
+) -> Result<(Placement, Vec<T>), PlacementError> {
     let requests = fleet_requests(ws, profiles, opts.initial_modes.as_deref())?;
+    if streaming && opts.capture_trace {
+        return Err(PlacementError::StreamTraceCapture);
+    }
     let placement = place_with(
         &requests,
         fleet_size,
@@ -180,22 +219,16 @@ pub fn run_cluster_opts<P: Into<SharedProfile>>(
         &profiler::AdmissionPolicy::default(),
         &opts.placement_policy,
     )?;
-
-    let mut gpus: Vec<Option<GpuRun>> = (0..placement.gpus_used).map(|_| None).collect();
+    let mut out: Vec<T> = (0..placement.gpus_used).map(|_| T::default()).collect();
     let workers = pool::workers(
         if opts.parallel { opts.workers } else { Some(1) },
         placement.gpus_used,
     );
-    pool::for_each_mut(&mut gpus, workers, |g, slot| {
-        *slot = Some(run_one_gpu(
-            g, &placement, ws, &requests, spec, params, horizon, opts,
-        ));
+    pool::for_each_mut(&mut out, workers, |g, slot| {
+        let run = run_one_gpu(g, &placement, ws, &requests, spec, params, horizon, opts);
+        per_gpu(run, slot);
     });
-    let gpus = gpus
-        .into_iter()
-        .map(|run| run.unwrap_or_else(|| unreachable!("the pool visits every GPU")))
-        .collect();
-    Ok(ClusterRun { placement, gpus })
+    Ok((placement, out))
 }
 
 /// Streaming summary of a fleet run — everything the fleet-scale
@@ -308,33 +341,25 @@ pub fn run_cluster_stream<P: Into<SharedProfile>>(
     horizon: SimTime,
     opts: &ClusterOptions,
 ) -> Result<FleetSummary, PlacementError> {
-    let requests = fleet_requests(ws, profiles, opts.initial_modes.as_deref())?;
-    if opts.capture_trace {
-        return Err(PlacementError::StreamTraceCapture);
-    }
-    let placement = place_with(
-        &requests,
-        fleet_size,
-        spec.memory_mib,
-        &profiler::AdmissionPolicy::default(),
-        &opts.placement_policy,
-    )?;
-
     // Per GPU, the two order-sensitive words — request-log digest and
     // utilization — written through the pool element and folded in GPU
     // order after the pool returns.
-    let mut words = vec![(0u64, 0.0f64); placement.gpus_used];
     let counters = FleetCounters::default();
-    let workers = pool::workers(
-        if opts.parallel { opts.workers } else { Some(1) },
-        placement.gpus_used,
-    );
-    pool::for_each_mut(&mut words, workers, |g, (digest, utilization)| {
-        let run = run_one_gpu(g, &placement, ws, &requests, spec, params, horizon, opts);
-        counters.fold(&run);
-        *digest = run.log.digest();
-        *utilization = run.utilization;
-    });
+    let (placement, words) = run_fleet(
+        ws,
+        profiles,
+        fleet_size,
+        spec,
+        params,
+        horizon,
+        opts,
+        true,
+        |run, (digest, utilization): &mut (u64, f64)| {
+            counters.fold(&run);
+            *digest = run.log.digest();
+            *utilization = run.utilization;
+        },
+    )?;
     let mut h = Fnv::new();
     let mut util_sum = 0.0f64;
     for &(digest, utilization) in &words {

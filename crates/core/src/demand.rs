@@ -68,7 +68,7 @@ mod tests {
                 d.get(c)
             );
         }
-        // Default kernel constructors collapse mem_intensity onto DramBw,
+        // Default kernel constructors put their memory intensity on DramBw,
         // so the aggregate concentrates there and matches the hand fold.
         let mut want = 0.0;
         let mut work = 0.0;

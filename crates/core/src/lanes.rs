@@ -20,8 +20,8 @@
 //! The hint is *structural only*: it reflects SM-allocator reachability,
 //! not the memory-bandwidth interference term, which in the monolithic
 //! engine couples all compute kernels globally. Promoting a hint into an
-//! actual lane split is exact when cross-lane kernels have zero
-//! `mem_intensity` (hard MIG-style isolation) and an approximation
+//! actual lane split is exact when cross-lane kernels have zero channel
+//! demand (hard MIG-style isolation) and an approximation
 //! otherwise — the caller owns that call; see DESIGN.md §5h.
 
 use metrics::ShareMode;

@@ -14,16 +14,17 @@
 //! With `N = 18` and two active requests that is `17 + 1 = 18` candidates,
 //! matching the paper.
 //!
-//! Both estimators and the search take the spec's [`ChannelModel`]: the
-//! scalar model scores the paper's equations as written, and the
-//! per-resource model (DESIGN.md §5j) inflates them by per-channel
-//! contention.
+//! Both estimators and the search take the spec's [`ChannelParams`]. A
+//! parameter set with one live channel is the paper's own interference
+//! term, which Eq. 1 and Eq. 2 leave out: it scores the equations as
+//! written. A set that [prices contention](ChannelParams::prices_contention)
+//! (DESIGN.md §5j) inflates them by per-channel contention.
 
 use sim_core::SimDuration;
 
 use crate::deploy::DeployedApp;
 use crate::squad::Squad;
-use gpu_sim::{Channel, ChannelDemand, ChannelModel, ChannelParams, NUM_CHANNELS};
+use gpu_sim::{Channel, ChannelDemand, ChannelParams, NUM_CHANNELS};
 use profiler::PARTITIONS;
 
 /// The execution configuration selected for one squad.
@@ -66,15 +67,15 @@ impl ExecConfig {
 
 /// Eq. 1 — the interference-free predictor for strictly partitioned
 /// squads: the squad lasts as long as the slowest request's stacked-up
-/// kernel durations at its partition. Under
-/// [`ChannelModel::PerResource`] each stack is first inflated by the
-/// contention its entry suffers on the shared L2, DRAM-BW and PCIe
-/// channels; SM partitions isolate the compute channel.
+/// kernel durations at its partition. When `model` prices contention
+/// each stack is first inflated by the contention its entry suffers on
+/// the shared L2, DRAM-BW and PCIe channels; SM partitions isolate the
+/// compute channel.
 pub fn predict_interference_free(
     squad: &Squad,
     apps: &[DeployedApp],
     partitions: &[u32],
-    model: &ChannelModel,
+    model: &ChannelParams,
 ) -> SimDuration {
     assert_eq!(
         squad.entries.len(),
@@ -139,8 +140,8 @@ fn entry_mean_demand(app: &DeployedApp, kernels: &[usize]) -> ChannelDemand {
 struct SpCost<'a> {
     /// `stacked[i][p-1]`: entry `i`'s stacked duration on `p` slices.
     stacked: Vec<[SimDuration; PARTITIONS]>,
-    /// Under [`ChannelModel::PerResource`]: the channel curves and each
-    /// entry's mean compute demand; `None` under `Scalar`.
+    /// When the curves price contention: the curves and each entry's
+    /// mean compute demand; `None` for the paper's one-channel term.
     channels: Option<(&'a ChannelParams, Vec<ChannelDemand>)>,
 }
 
@@ -148,23 +149,20 @@ impl<'a> SpCost<'a> {
     /// Tabulates every entry at every partition size, so each candidate
     /// costs O(K). Each cell is an O(1) prefix-table range sum for the
     /// usual contiguous kernel selections.
-    fn new(squad: &Squad, apps: &[DeployedApp], model: &'a ChannelModel) -> Self {
+    fn new(squad: &Squad, apps: &[DeployedApp], model: &'a ChannelParams) -> Self {
         let stacked = squad
             .entries
             .iter()
             .map(|e| std::array::from_fn(|p| stacked_duration(&apps[e.app], p, &e.kernels)))
             .collect();
-        let channels = match model {
-            ChannelModel::Scalar => None,
-            ChannelModel::PerResource(params) => Some((
-                params,
-                squad
-                    .entries
-                    .iter()
-                    .map(|e| entry_mean_demand(&apps[e.app], &e.kernels))
-                    .collect(),
-            )),
-        };
+        let channels = model.prices_contention().then(|| {
+            let means = squad
+                .entries
+                .iter()
+                .map(|e| entry_mean_demand(&apps[e.app], &e.kernels))
+                .collect();
+            (model, means)
+        });
         SpCost { stacked, channels }
     }
 
@@ -175,7 +173,7 @@ impl<'a> SpCost<'a> {
     }
 
     /// The predicted duration of the split `parts`: the max over entries
-    /// of their stacks. Under `PerResource` each stack is inflated by the
+    /// of their stacks. When pricing, each stack is inflated by the
     /// entry's bottleneck slowdown against the traffic of every entry's
     /// mean demand weighted by its GPU share. The compute channel is
     /// zeroed: SM partitioning is exactly the mechanism that removes
@@ -212,7 +210,7 @@ impl<'a> SpCost<'a> {
 /// modelled as sequential execution where every kernel runs at the speed
 /// it would have given the row's total natural SM demand `Σ_j d_i^j`.
 ///
-/// Under [`ChannelModel::PerResource`] each row also accumulates
+/// When `model` prices contention each row also accumulates
 /// per-channel traffic from its compute kernels' demand vectors (shares
 /// from the profiled natural demand, normalized down when the row
 /// oversubscribes the GPU), and every compute kernel's row duration is
@@ -221,12 +219,9 @@ pub fn predict_workload_equivalence(
     squad: &Squad,
     apps: &[DeployedApp],
     num_sms: u32,
-    model: &ChannelModel,
+    model: &ChannelParams,
 ) -> SimDuration {
-    let params = match model {
-        ChannelModel::Scalar => None,
-        ChannelModel::PerResource(p) => Some(p),
-    };
+    let params = model.prices_contention().then_some(model);
     let q = squad
         .entries
         .iter()
@@ -298,7 +293,7 @@ pub struct ConfigChoice {
     /// Number of candidate configurations evaluated.
     pub evaluated: usize,
     /// Number of SP compositions skipped by the branch-and-bound cut (0
-    /// under [`ChannelModel::PerResource`] and on the hill-climbing path).
+    /// when the curves price contention and on the hill-climbing path).
     /// For an exactly searched squad, `evaluated + pruned` equals the full
     /// candidate count `1 + C(N−1, K−1)`, and the chosen configuration is
     /// identical to the uncut search's.
@@ -309,7 +304,8 @@ pub struct ConfigChoice {
 /// scoring candidates under the spec's interference `model`.
 ///
 /// For up to [`EXACT_SEARCH_MAX_APPS`] participating requests the SP space
-/// is searched exactly; under [`ChannelModel::Scalar`] a branch-and-bound
+/// is searched exactly; unless the curves
+/// [price contention](ChannelParams::prices_contention) a branch-and-bound
 /// cut skips subtrees that provably cannot win. Beyond that a
 /// quota-proportional seed plus hill-climbing is used (the paper only
 /// determines optimal partitions at runtime for small squads; REEF+ cannot
@@ -319,20 +315,20 @@ pub fn determine_config(
     squad: &Squad,
     apps: &[DeployedApp],
     num_sms: u32,
-    model: &ChannelModel,
+    model: &ChannelParams,
 ) -> ConfigChoice {
-    search(squad, apps, num_sms, model, model.is_scalar())
+    search(squad, apps, num_sms, model, !model.prices_contention())
 }
 
 /// The one configuration search. `prune` enables the branch-and-bound
 /// cut; its lower bound is proven only for the plain max-of-stacks cost,
-/// so it is set only under [`ChannelModel::Scalar`]. With `prune` unset
+/// so it is set only when the curves do not price contention. With `prune` unset
 /// the exact walk evaluates every composition (the tests' uncut twin).
 fn search(
     squad: &Squad,
     apps: &[DeployedApp],
     num_sms: u32,
-    model: &ChannelModel,
+    model: &ChannelParams,
     prune: bool,
 ) -> ConfigChoice {
     let k = squad.entries.len();
@@ -495,7 +491,7 @@ impl SpSearch<'_> {
     fn descend(&mut self, idx: usize, remaining: u32, partial_max: SimDuration) {
         if idx == self.k - 1 {
             self.parts[idx] = remaining;
-            // A scalar leaf is the plain max of stacks, O(1) from the
+            // An unpriced leaf is the plain max of stacks, O(1) from the
             // prefix; the channel cost needs the whole split.
             let dur = if self.cost.channels.is_none() {
                 partial_max.max(self.cost.stack(idx, remaining))
@@ -583,7 +579,7 @@ pub fn determine_config_memo_model(
     squad: &Squad,
     apps: &[DeployedApp],
     num_sms: u32,
-    model: &ChannelModel,
+    model: &ChannelParams,
 ) -> ConfigChoice {
     let signature = squad
         .entries
@@ -657,14 +653,16 @@ mod tests {
     use gpu_sim::GpuSpec;
     use profiler::ProfiledApp;
 
-    const SCALAR: ChannelModel = ChannelModel::Scalar;
+    fn scalar() -> ChannelParams {
+        ChannelParams::paper_scalar()
+    }
 
-    fn per_resource() -> ChannelModel {
-        ChannelModel::PerResource(ChannelParams::a100())
+    fn per_resource() -> ChannelParams {
+        ChannelParams::a100()
     }
 
     /// The uncut twin: the same search with the branch-and-bound cut off.
-    fn exhaustive(squad: &Squad, apps: &[DeployedApp], model: &ChannelModel) -> ConfigChoice {
+    fn exhaustive(squad: &Squad, apps: &[DeployedApp], model: &ChannelParams) -> ConfigChoice {
         search(squad, apps, 108, model, false)
     }
 
@@ -707,12 +705,12 @@ mod tests {
             deploy(ModelKind::ResNet50, 0.5),
         ];
         let squad = squad_of(&apps, 10);
-        let uncut = exhaustive(&squad, &apps, &SCALAR);
+        let uncut = exhaustive(&squad, &apps, &scalar());
         assert_eq!(uncut.evaluated, 18);
         assert_eq!(uncut.pruned, 0);
         // The branch-and-bound cut must cover the same space: every
         // candidate is either evaluated or accounted for as pruned.
-        let choice = determine_config(&squad, &apps, 108, &SCALAR);
+        let choice = determine_config(&squad, &apps, 108, &scalar());
         assert_eq!(choice.evaluated + choice.pruned, 18);
         assert_eq!(choice.config, uncut.config);
         assert_eq!(choice.predicted, uncut.predicted);
@@ -749,8 +747,8 @@ mod tests {
                     .collect();
                 for &per_app in sizes {
                     let squad = squad_of(&apps, per_app);
-                    let fast = determine_config(&squad, &apps, 108, &SCALAR);
-                    let slow = exhaustive(&squad, &apps, &SCALAR);
+                    let fast = determine_config(&squad, &apps, 108, &scalar());
+                    let slow = exhaustive(&squad, &apps, &scalar());
                     assert_eq!(fast.config, slow.config, "k={k} per_app={per_app}");
                     assert_eq!(fast.predicted, slow.predicted, "k={k} per_app={per_app}");
                     assert_eq!(
@@ -774,7 +772,7 @@ mod tests {
         ];
         let squad = squad_of(&apps, 5);
         // Full GPU each (impossible config, but the math is the point):
-        let d_both = predict_interference_free(&squad, &apps, &[9, 9], &SCALAR);
+        let d_both = predict_interference_free(&squad, &apps, &[9, 9], &scalar());
         let stack = |app: usize| -> SimDuration {
             (1..=5)
                 .map(|k| apps[app].profile.kernel_duration(8, k))
@@ -802,8 +800,8 @@ mod tests {
                 },
             ],
         };
-        let even = predict_interference_free(&squad, &apps, &[9, 9], &SCALAR);
-        let skewed = predict_interference_free(&squad, &apps, &[14, 4], &SCALAR);
+        let even = predict_interference_free(&squad, &apps, &[9, 9], &scalar());
+        let skewed = predict_interference_free(&squad, &apps, &[14, 4], &scalar());
         assert!(skewed < even, "{skewed:?} vs {even:?}");
     }
 
@@ -813,7 +811,7 @@ mod tests {
         // sequentializing penalty of the hardware scheduler (Fig. 7).
         let apps = vec![deploy(ModelKind::NasNet, 0.5), deploy(ModelKind::Bert, 0.5)];
         let squad = squad_of(&apps, 25);
-        let choice = determine_config(&squad, &apps, 108, &SCALAR);
+        let choice = determine_config(&squad, &apps, 108, &scalar());
         match &choice.config {
             ExecConfig::Sp { partitions } => {
                 assert_eq!(partitions.iter().sum::<u32>(), 18);
@@ -827,7 +825,7 @@ mod tests {
     fn solo_squads_run_nsp() {
         let apps = vec![deploy(ModelKind::ResNet50, 0.5)];
         let squad = squad_of(&apps, 10);
-        let choice = determine_config(&squad, &apps, 108, &SCALAR);
+        let choice = determine_config(&squad, &apps, 108, &scalar());
         assert_eq!(choice.config, ExecConfig::Nsp);
         assert_eq!(choice.evaluated, 1);
     }
@@ -861,7 +859,7 @@ mod tests {
             })
             .collect();
         let squad = squad_of(&apps, 4);
-        let choice = determine_config(&squad, &apps, 108, &SCALAR);
+        let choice = determine_config(&squad, &apps, 108, &scalar());
         if let ExecConfig::Sp { partitions } = &choice.config {
             assert_eq!(partitions.len(), 8);
             assert_eq!(partitions.iter().sum::<u32>(), 18);
@@ -878,7 +876,7 @@ mod tests {
                 kernels: vec![1, 2, 3],
             }],
         };
-        let d = predict_workload_equivalence(&squad, &apps, 108, &SCALAR);
+        let d = predict_workload_equivalence(&squad, &apps, 108, &scalar());
         // A single request at its own demand: close to its full-speed sum.
         let full: SimDuration = (1..=3)
             .map(|k| apps[0].profile.kernel_duration(PARTITIONS - 1, k))
@@ -922,13 +920,13 @@ mod tests {
         let squad = squad_of(&apps, 3);
         // Must not panic on the inverted clamp bounds; exact value is
         // meaningless on a zero-SM device.
-        let _ = predict_workload_equivalence(&squad, &apps, 0, &SCALAR);
+        let _ = predict_workload_equivalence(&squad, &apps, 0, &scalar());
     }
 
     #[test]
     fn empty_squad_determines_nsp() {
         let apps = vec![deploy(ModelKind::Vgg11, 1.0)];
-        let choice = determine_config(&Squad::default(), &apps, 108, &SCALAR);
+        let choice = determine_config(&Squad::default(), &apps, 108, &scalar());
         assert_eq!(choice.config, ExecConfig::Nsp);
         assert_eq!(choice.evaluated, 0);
     }
@@ -947,15 +945,10 @@ mod tests {
             deploy(ModelKind::ResNet50, 0.5),
         ];
         let squad = squad_of(&apps, 5);
-        let compute_only = ChannelParams::matched_scalar(1.5, 0.30, 2.0, Channel::Compute);
-        let plain = predict_interference_free(&squad, &apps, &[9, 9], &SCALAR);
+        let compute_only = ChannelParams::one_channel(Channel::Compute, 1.5, 0.30, 2.0);
+        let plain = predict_interference_free(&squad, &apps, &[9, 9], &scalar());
         assert_eq!(
-            predict_interference_free(
-                &squad,
-                &apps,
-                &[9, 9],
-                &ChannelModel::PerResource(compute_only)
-            ),
+            predict_interference_free(&squad, &apps, &[9, 9], &compute_only),
             plain,
         );
         let calibrated = predict_interference_free(&squad, &apps, &[9, 9], &per_resource());
@@ -972,8 +965,8 @@ mod tests {
         for per_app in [3, 8, 14] {
             let squad = squad_of(&apps, per_app);
             let chan = predict_workload_equivalence(&squad, &apps, 108, &per_resource());
-            let scalar = predict_workload_equivalence(&squad, &apps, 108, &SCALAR);
-            assert!(chan >= scalar, "per_app={per_app}: {chan:?} < {scalar:?}");
+            let plain = predict_workload_equivalence(&squad, &apps, 108, &scalar());
+            assert!(chan >= plain, "per_app={per_app}: {chan:?} < {plain:?}");
         }
     }
 
@@ -1056,7 +1049,7 @@ mod tests {
             .map(|_| deploy(ModelKind::ResNet50, 1.0 / (PARTITIONS + 1) as f64))
             .collect();
         let squad = squad_of(&apps, 2);
-        for model in [SCALAR, per_resource()] {
+        for model in [scalar(), per_resource()] {
             let choice = determine_config(&squad, &apps, 108, &model);
             assert_eq!(choice.config, ExecConfig::Nsp);
             assert_eq!(choice.evaluated, 1);

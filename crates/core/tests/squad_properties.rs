@@ -7,7 +7,7 @@ use bless::{
     ConfigMemo, DeployedApp, ExecConfig,
 };
 use dnn_models::{AppModel, ModelKind, Phase};
-use gpu_sim::{ChannelModel, ChannelParams, GpuSpec};
+use gpu_sim::{ChannelParams, GpuSpec};
 use profiler::ProfiledApp;
 use proptest::prelude::*;
 use sim_core::SimTime;
@@ -87,7 +87,7 @@ proptest! {
         let params = BlessParams::default();
         let squad = generate_squad(SimTime::from_millis(5), &active, &apps, &params);
         prop_assume!(squad.entries.len() >= 2);
-        let choice = determine_config(&squad, &apps, 108, &ChannelModel::Scalar);
+        let choice = determine_config(&squad, &apps, 108, &ChannelParams::paper_scalar());
         match &choice.config {
             ExecConfig::Sp { partitions } => {
                 prop_assert_eq!(partitions.len(), squad.entries.len());
@@ -109,9 +109,9 @@ proptest! {
         per_resource in any::<bool>(),
     ) {
         let model = if per_resource {
-            ChannelModel::PerResource(ChannelParams::a100())
+            ChannelParams::a100()
         } else {
-            ChannelModel::Scalar
+            ChannelParams::paper_scalar()
         };
         let quotas: Vec<f64> = vec![1.0 / counts.len() as f64; counts.len()];
         let apps = apps_for(&quotas);

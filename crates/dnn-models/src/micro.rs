@@ -4,7 +4,7 @@
 //! aggressors of increasing memory pressure. These helpers build the
 //! synthetic victim/aggressor kernels for that experiment.
 
-use gpu_sim::{Channel, ChannelDemand, KernelDesc};
+use gpu_sim::{ChannelDemand, KernelDesc};
 use sim_core::SimDuration;
 
 /// A victim kernel occupying `sms` SMs for `duration` with the given
@@ -35,23 +35,18 @@ pub fn memory_bound(duration: SimDuration, sms: u32) -> KernelDesc {
 }
 
 /// A victim kernel with an explicit per-channel demand vector (for the
-/// per-resource interference experiments, Fig. 9c). The scalar
-/// `mem_intensity` is kept at the DRAM-BW component so the same kernel is
-/// meaningful under `ChannelModel::Scalar`.
+/// per-resource interference experiments, Fig. 9c). Under the paper's
+/// one-channel scalar term only its DRAM-BW component interferes, so a
+/// demand collapsed onto DRAM-BW at `m` behaves exactly like
+/// [`victim`] at memory intensity `m`.
 pub fn channel_victim(duration: SimDuration, sms: u32, demand: ChannelDemand) -> KernelDesc {
-    KernelDesc::compute("micro.cvictim", duration, sms, demand.get(Channel::DramBw))
-        .with_demand(demand)
+    KernelDesc::compute("micro.cvictim", duration, sms, 0.0).with_demand(demand)
 }
 
 /// A long-running aggressor with an explicit per-channel demand vector.
 pub fn channel_aggressor(sms: u32, demand: ChannelDemand) -> KernelDesc {
-    KernelDesc::compute(
-        "micro.caggressor",
-        SimDuration::from_millis(50),
-        sms,
-        demand.get(Channel::DramBw),
-    )
-    .with_demand(demand)
+    KernelDesc::compute("micro.caggressor", SimDuration::from_millis(50), sms, 0.0)
+        .with_demand(demand)
 }
 
 #[cfg(test)]

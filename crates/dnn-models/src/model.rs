@@ -349,7 +349,7 @@ mod tests {
         for (ka, kb) in a.kernels.iter().zip(b.kernels.iter()) {
             assert_eq!(ka.work, kb.work);
             assert_eq!(ka.max_sms, kb.max_sms);
-            assert_eq!(ka.mem_intensity, kb.mem_intensity);
+            assert_eq!(ka.demand, kb.demand);
         }
     }
 

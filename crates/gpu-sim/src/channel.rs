@@ -1,36 +1,31 @@
 //! Per-resource interference channels (DESIGN.md §5j).
 //!
-//! The paper's interference term — and this simulator's original one — is
-//! a single scalar: co-running kernels generate "memory traffic" and every
-//! victim is slowed by `1 + α·pressure·sensitivity`, capped at 2×
-//! (Fig. 9a). Elvinger et al. ("Understanding GPU Resource Interference
-//! One Level Deeper", PAPERS.md) show that interference actually
-//! decomposes into *distinct contended resources* — compute issue
-//! bandwidth, the shared L2, DRAM bandwidth, and the PCIe link — each with
-//! its own contention curve.
+//! The paper's interference term is a single scalar: co-running kernels
+//! generate "memory traffic" and every victim is slowed by
+//! `1 + α·pressure·sensitivity`, capped at 2× (Fig. 9a). Elvinger et al.
+//! ("Understanding GPU Resource Interference One Level Deeper", PAPERS.md)
+//! show that interference actually decomposes into *distinct contended
+//! resources* — compute issue bandwidth, the shared L2, DRAM bandwidth,
+//! and the PCIe link — each with its own contention curve.
 //!
-//! This module models that decomposition while keeping the legacy scalar
-//! model bit-exact:
+//! [`ChannelParams`] is the one description of interference: a
+//! per-channel α/base/cap curve plus the DMA→PCIe coupling weight, read
+//! by the engine against each kernel's [`ChannelDemand`] vector. The
+//! paper's scalar term is the parameter set with one live channel,
+//! [`ChannelParams::paper_scalar`] (the DRAM-BW curve α 1.5, base 0.30,
+//! cap 2.0, every other channel inert) — the default of
+//! [`crate::GpuSpec::a100`]. [`ChannelParams::a100`] is the calibrated
+//! four-channel set of [`crate::GpuSpec::a100_per_resource`].
 //!
-//! * [`ChannelDemand`] — a kernel's per-channel demand vector, the
-//!   per-resource generalization of `mem_intensity`;
-//! * [`ChannelParams`] — per-channel α/base/cap contention curves plus the
-//!   DMA→PCIe coupling weight;
-//! * [`ChannelModel`] — the engine switch: [`ChannelModel::Scalar`]
-//!   (default; byte-identical to the original model, so every golden
-//!   request-log digest is untouched) or [`ChannelModel::PerResource`].
-//!
-//! **Collapse-to-scalar equivalence.** When every kernel's demand vector
-//! is concentrated on a single channel `c` (the default: constructors put
-//! `mem_intensity` on [`Channel::DramBw`]) and `c`'s curve matches the
-//! scalar α/base/cap while every other channel is inert
-//! ([`ChannelParams::matched_scalar`]), the per-resource slowdown is
-//! *bit-identical* to the scalar one: channel `c` evaluates the exact same
-//! float expression in the same order, every other channel sees zero
-//! traffic and contributes exactly 1.0, and `max(1.0, s) = s` because the
-//! per-channel slowdown is ≥ 1 by construction. The differential twin in
-//! `tests/channel_differential.rs` pins this across the seeded workload
-//! matrix at worker counts 1/2/4.
+//! **One live channel is the paper's term.** With every other channel
+//! inert (α 0, cap 1) and DMA coupling off, only the live channel's
+//! demand component interferes, and it evaluates the scalar expression in
+//! the scalar order: inert channels contribute exactly 1.0 and
+//! `max(1.0, s) = s` because the per-channel slowdown is ≥ 1 by
+//! construction. The goldens in `tests/channel_differential.rs` pin this
+//! on DRAM-BW and on L2 against the scalar engine's recorded digests.
+//! [`ChannelParams::prices_contention`] tells the config determiner
+//! whether a parameter set is more than that term.
 
 /// Number of modeled interference channels.
 pub const NUM_CHANNELS: usize = 4;
@@ -43,8 +38,8 @@ pub enum Channel {
     Compute = 0,
     /// Shared L2 capacity/bandwidth contention.
     L2 = 1,
-    /// DRAM bandwidth contention — the channel the original scalar
-    /// `mem_intensity` model describes.
+    /// DRAM bandwidth contention — the channel the paper's scalar
+    /// memory-intensity term describes.
     DramBw = 2,
     /// PCIe link contention (pinned-host traffic of compute kernels, plus
     /// running DMA streams via [`ChannelParams::dma_pcie_weight`]).
@@ -73,10 +68,10 @@ impl Channel {
 
 /// A kernel's per-channel resource demand, each component in `[0, 1]`.
 ///
-/// `demand[c]` plays the role `mem_intensity` plays in the scalar model,
-/// per channel: it scales both the traffic the kernel *generates* on `c`
-/// (weighted by its SM share) and its *sensitivity* to other kernels'
-/// traffic on `c`.
+/// `demand[c]` plays the role the paper's memory intensity plays in its
+/// scalar term, per channel: it scales both the traffic the kernel
+/// *generates* on `c` (weighted by its SM share) and its *sensitivity* to
+/// other kernels' traffic on `c`.
 #[derive(Clone, Copy, Debug, PartialEq)]
 pub struct ChannelDemand(pub [f64; NUM_CHANNELS]);
 
@@ -86,8 +81,9 @@ impl ChannelDemand {
     /// [`ChannelParams::dma_pcie_weight`]).
     pub const ZERO: ChannelDemand = ChannelDemand([0.0; NUM_CHANNELS]);
 
-    /// All demand concentrated on one channel — the collapse shape that
-    /// reproduces the scalar model bit-exactly (module docs).
+    /// All demand concentrated on one channel (the constructors of
+    /// [`crate::KernelDesc`] put their memory intensity on
+    /// [`Channel::DramBw`] this way).
     ///
     /// # Panics
     ///
@@ -127,8 +123,8 @@ impl ChannelDemand {
 
 /// Per-channel contention curves: slowdown on channel `c` is
 /// `min(1 + alpha[c] · pressure · sensitivity, cap[c])` with
-/// `sensitivity = base[c] + (1 − base[c]) · own_demand` — the scalar
-/// model's curve, instantiated once per resource.
+/// `sensitivity = base[c] + (1 − base[c]) · own_demand` — the paper's
+/// scalar curve, instantiated once per resource.
 #[derive(Clone, Copy, Debug, PartialEq)]
 pub struct ChannelParams {
     /// Contention strength per channel.
@@ -139,14 +135,14 @@ pub struct ChannelParams {
     pub cap: [f64; NUM_CHANNELS],
     /// PCIe-channel traffic contributed by each *running DMA stream*
     /// (memcpy in flight): compute kernels with PCIe demand are slowed by
-    /// concurrent transfers. Zero decouples DMA from the compute side —
-    /// required for the bit-exact scalar collapse, where DMA events must
-    /// not perturb compute rates.
+    /// concurrent transfers. Zero decouples DMA from the compute side, as
+    /// the paper's scalar term does: DMA events then never perturb
+    /// compute rates.
     pub dma_pcie_weight: f64,
 }
 
 impl ChannelParams {
-    /// Calibrated A100 curves. DRAM bandwidth keeps the scalar model's
+    /// Calibrated A100 curves. DRAM bandwidth keeps the paper's scalar
     /// curve (α 1.5, base 0.30, cap 2.0 — the Fig. 9a anchor: it is the
     /// resource the paper's "memory pressure" experiment saturates). L2 is
     /// close behind, compute contention is mild and caps early, and PCIe
@@ -155,11 +151,12 @@ impl ChannelParams {
     /// # Calibration provenance
     ///
     /// Only the DRAM-bandwidth channel is anchored to a measured curve
-    /// (the seed scalar model's Fig. 9a fit). The compute/L2/PCIe
-    /// triples are *ordinal*, not measured: chosen so the relative
-    /// severity ranking matches Elvinger et al.'s per-resource
-    /// decomposition (DRAM ≳ L2 > PCIe > compute-issue for co-located
-    /// inference) while every channel keeps the scalar curve's shape.
+    /// (the paper's scalar Fig. 9a fit, [`ChannelParams::paper_scalar`]).
+    /// The compute/L2/PCIe triples are *ordinal*, not measured: chosen so
+    /// the relative severity ranking matches Elvinger et al.'s
+    /// per-resource decomposition (DRAM ≳ L2 > PCIe > compute-issue for
+    /// co-located inference) while every channel keeps the scalar curve's
+    /// shape.
     /// Uses that only need a consistent ranking — the contention-aware
     /// placement scorer, the `fig9c` decomposition (which runs on
     /// [`crate::GpuSpec::a100_per_resource`] by default, pinned in
@@ -177,12 +174,23 @@ impl ChannelParams {
         }
     }
 
-    /// The collapse twin of a scalar model: channel `ch` carries the
-    /// scalar `(alpha, base, cap)` curve, every other channel is inert
-    /// (α 0, base 0, cap 1) and DMA coupling is off. With all kernel
-    /// demand collapsed onto `ch`, the per-resource engine is
-    /// bit-identical to the scalar engine (module docs).
-    pub fn matched_scalar(alpha: f64, base: f64, cap: f64, ch: Channel) -> Self {
+    /// The paper's scalar interference term (Fig. 9a fit, ~7% mean
+    /// pair-wise slowdown in Fig. 9b): the DRAM-BW curve α 1.5, base 0.30,
+    /// cap 2.0 as the one live channel. The default of
+    /// [`crate::GpuSpec::a100`].
+    pub fn paper_scalar() -> Self {
+        Self::one_channel(Channel::DramBw, 1.5, 0.30, 2.0)
+    }
+
+    /// A parameter set with one live channel: `ch` carries the
+    /// `(alpha, base, cap)` curve, every other channel is inert (α 0,
+    /// base 0, cap 1) and DMA coupling is off. Only the `ch` component of
+    /// a kernel's demand then interferes.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the curve violates [`ChannelParams::validate`].
+    pub fn one_channel(ch: Channel, alpha: f64, base: f64, cap: f64) -> Self {
         let mut p = ChannelParams {
             alpha: [0.0; NUM_CHANNELS],
             base: [0.0; NUM_CHANNELS],
@@ -194,6 +202,24 @@ impl ChannelParams {
         p.cap[ch as usize] = cap;
         p.validate();
         p
+    }
+
+    /// True when running DMA streams feed the PCIe channel, coupling DMA
+    /// transitions into compute-side reallocation.
+    pub fn couples_dma_to_compute(&self) -> bool {
+        self.dma_pcie_weight > 0.0
+    }
+
+    /// True when the config determiner must price channel contention into
+    /// its estimators: more than one channel is live (α > 0 and cap > 1),
+    /// or DMA feeds PCIe. A single live channel is the paper's own
+    /// interference term, which Eq. 1 and Eq. 2 leave out; only then is
+    /// the branch-and-bound cut on the plain max-of-stacks valid.
+    pub fn prices_contention(&self) -> bool {
+        let live = (0..NUM_CHANNELS)
+            .filter(|&c| self.alpha[c] > 0.0 && self.cap[c] > 1.0)
+            .count();
+        live > 1 || self.couples_dma_to_compute()
     }
 
     /// Asserts the curve invariants (α ≥ 0, base in \[0,1\], cap ≥ 1).
@@ -243,32 +269,6 @@ impl ChannelParams {
     }
 }
 
-/// The engine's interference-model switch.
-#[derive(Clone, Copy, Debug, Default, PartialEq)]
-pub enum ChannelModel {
-    /// The original single-scalar model (`1 + α·pressure·sensitivity`
-    /// capped, driven by `mem_intensity`). The default; byte-identical to
-    /// the pre-channel engine, pinning every existing golden digest.
-    #[default]
-    Scalar,
-    /// The four-channel contended-resource model driven by
-    /// [`ChannelDemand`] vectors and composed by bottleneck max.
-    PerResource(ChannelParams),
-}
-
-impl ChannelModel {
-    /// True for the legacy scalar model.
-    pub fn is_scalar(&self) -> bool {
-        matches!(self, ChannelModel::Scalar)
-    }
-
-    /// True when running DMA streams feed the PCIe channel, coupling DMA
-    /// transitions into compute-side reallocation.
-    pub fn couples_dma_to_compute(&self) -> bool {
-        matches!(self, ChannelModel::PerResource(p) if p.dma_pcie_weight > 0.0)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -289,11 +289,11 @@ mod tests {
     }
 
     #[test]
-    fn matched_scalar_reproduces_scalar_formula() {
-        // The per-resource slowdown with collapsed demand equals the
-        // scalar expression bit-for-bit.
+    fn one_channel_reproduces_scalar_formula() {
+        // The one-live-channel slowdown with collapsed demand equals the
+        // paper's scalar expression bit-for-bit.
         let (alpha, base, cap) = (1.5, 0.30, 2.0);
-        let p = ChannelParams::matched_scalar(alpha, base, cap, Channel::DramBw);
+        let p = ChannelParams::paper_scalar();
         let (m_victim, m_aggr) = (0.9, 0.6);
         let share = 54.0 / 108.0;
         let own = m_victim * share;
@@ -366,11 +366,23 @@ mod tests {
     }
 
     #[test]
-    fn default_model_is_scalar() {
-        assert!(ChannelModel::default().is_scalar());
-        assert!(!ChannelModel::default().couples_dma_to_compute());
-        assert!(ChannelModel::PerResource(ChannelParams::a100()).couples_dma_to_compute());
-        let decoupled = ChannelParams::matched_scalar(1.5, 0.3, 2.0, Channel::DramBw);
-        assert!(!ChannelModel::PerResource(decoupled).couples_dma_to_compute());
+    fn pricing_predicate_counts_live_channels() {
+        let paper = ChannelParams::paper_scalar();
+        assert!(!paper.prices_contention());
+        assert!(!paper.couples_dma_to_compute());
+        assert!(!ChannelParams::one_channel(Channel::L2, 3.0, 0.3, 2.0).prices_contention());
+        // α 0 or cap 1 leaves a channel inert.
+        assert!(!ChannelParams::one_channel(Channel::DramBw, 0.0, 0.3, 2.0).prices_contention());
+        let mut two = paper;
+        two.alpha[Channel::L2 as usize] = 1.0;
+        assert!(!two.prices_contention(), "cap 1 keeps L2 inert");
+        two.cap[Channel::L2 as usize] = 1.5;
+        assert!(two.prices_contention());
+        let mut dma = paper;
+        dma.dma_pcie_weight = 0.25;
+        assert!(dma.couples_dma_to_compute());
+        assert!(dma.prices_contention());
+        assert!(ChannelParams::a100().prices_contention());
+        assert!(ChannelParams::a100().couples_dma_to_compute());
     }
 }

@@ -29,7 +29,7 @@ use sim_core::trace::{TraceEvent, TraceSink};
 use sim_core::{EventQueue, FaultPlan, SimDuration, SimTime};
 
 use crate::alloc::{allocate_sms_into, AllocScratch, CtxGroup, KernelDemand};
-use crate::channel::{Channel, ChannelDemand, ChannelModel, NUM_CHANNELS};
+use crate::channel::{Channel, ChannelDemand, NUM_CHANNELS};
 use crate::kernel::{KernelDesc, KernelKind, KernelTableId};
 use crate::spec::{GpuSpec, HostCosts, HwPolicy};
 
@@ -168,7 +168,6 @@ struct KernelShape {
     kind: KernelKind,
     work: f64,
     max_sms: u32,
-    mem_intensity: f64,
     demand: ChannelDemand,
 }
 
@@ -178,7 +177,6 @@ impl KernelShape {
             kind: desc.kind,
             work: desc.work,
             max_sms: desc.max_sms,
-            mem_intensity: desc.mem_intensity,
             demand: desc.demand,
         }
     }
@@ -1550,11 +1548,10 @@ impl Gpu {
     /// All intermediate vectors come from `self.scratch` so steady-state
     /// reallocation performs no heap allocation.
     fn reallocate_scoped(&mut self, do_compute: bool, do_dma: bool) {
-        // Under a per-resource model with DMA→PCIe coupling, running DMA
-        // streams feed the PCIe channel, so a DMA transition can change
-        // compute slowdowns: widen the scope. The scalar model (and the
-        // decoupled collapse twin, weight 0) keeps the exact narrow
-        // scoping, so skipping stays bit-identical there.
+        // With DMA→PCIe coupling, running DMA streams feed the PCIe
+        // channel, so a DMA transition can change compute slowdowns:
+        // widen the scope. Decoupled curves (weight 0, the paper's scalar
+        // term among them) keep the exact narrow scoping.
         let do_compute = do_compute || (do_dma && self.spec.channel_model.couples_dma_to_compute());
         self.settle(self.now);
         self.epoch += 1;
@@ -1624,58 +1621,48 @@ impl Gpu {
 
             // Interference: each kernel is slowed by the traffic of its
             // co-runners, proportionally to the co-runners' active SM
-            // share and partly to the victim's own demand. Under the
-            // scalar model there is one "memory traffic" scalar; under
-            // the per-resource model each channel accumulates traffic
-            // separately and channels compose by bottleneck max
-            // (DESIGN.md §5j). Both paths use fixed-size stack state only.
-            match self.spec.channel_model {
-                ChannelModel::Scalar => {
-                    let total_traffic: f64 = compute
-                        .iter()
-                        .zip(&alloc)
-                        .map(|(&slot, &a)| {
-                            self.instances[slot].shape.mem_intensity
-                                * (a / self.spec.num_sms as f64)
-                        })
-                        .sum();
-
-                    for (i, &slot) in compute.iter().enumerate() {
-                        let a = alloc[i];
-                        let inst = &self.instances[slot];
-                        let own = inst.shape.mem_intensity * (a / self.spec.num_sms as f64);
-                        let pressure = (total_traffic - own).max(0.0);
-                        let sensitivity = self.spec.interference_base
-                            + (1.0 - self.spec.interference_base) * inst.shape.mem_intensity;
-                        let slowdown = (1.0
-                            + self.spec.interference_alpha * pressure * sensitivity)
-                            .min(self.spec.interference_cap);
-                        let new_rate = if a > 0.0 { a / slowdown } else { 0.0 };
-                        self.apply_compute_rate(slot, a, new_rate);
-                    }
+            // share and partly to the victim's own demand. Each channel
+            // accumulates traffic separately and channels compose by
+            // bottleneck max (DESIGN.md §5j); fixed-size stack state only.
+            let params = self.spec.channel_model;
+            let mut traffic = [0.0f64; NUM_CHANNELS];
+            for (&slot, &a) in compute.iter().zip(&alloc) {
+                let share = a / self.spec.num_sms as f64;
+                let d = &self.instances[slot].shape.demand.0;
+                for (t, dv) in traffic.iter_mut().zip(d) {
+                    *t += dv * share;
                 }
-                ChannelModel::PerResource(params) => {
-                    let mut traffic = [0.0f64; NUM_CHANNELS];
-                    for (&slot, &a) in compute.iter().zip(&alloc) {
-                        let share = a / self.spec.num_sms as f64;
-                        let d = &self.instances[slot].shape.demand.0;
-                        for (t, dv) in traffic.iter_mut().zip(d) {
-                            *t += dv * share;
-                        }
-                    }
-                    // Running DMA streams press on the PCIe channel.
-                    if params.dma_pcie_weight > 0.0 && memcpy_streams > 0 {
-                        traffic[Channel::Pcie as usize] +=
-                            params.dma_pcie_weight * memcpy_streams as f64;
-                    }
+            }
+            // Running DMA streams press on the PCIe channel.
+            if params.dma_pcie_weight > 0.0 && memcpy_streams > 0 {
+                traffic[Channel::Pcie as usize] += params.dma_pcie_weight * memcpy_streams as f64;
+            }
 
-                    for (i, &slot) in compute.iter().enumerate() {
-                        let a = alloc[i];
-                        let share = a / self.spec.num_sms as f64;
-                        let slowdown =
-                            params.slowdown(&self.instances[slot].shape.demand, share, &traffic);
-                        let new_rate = if a > 0.0 { a / slowdown } else { 0.0 };
-                        self.apply_compute_rate(slot, a, new_rate);
+            for (i, &slot) in compute.iter().enumerate() {
+                let a = alloc[i];
+                let share = a / self.spec.num_sms as f64;
+                let slowdown = params.slowdown(&self.instances[slot].shape.demand, share, &traffic);
+                let new_rate = if a > 0.0 { a / slowdown } else { 0.0 };
+                let unchanged = (self.instances[slot].rate - new_rate).abs() < 1e-12
+                    && self.instances[slot].rate > 0.0;
+                let inst = &mut self.instances[slot];
+                let alloc_changed = inst.alloc_sms != a;
+                inst.alloc_sms = a;
+                inst.rate = new_rate;
+                if !unchanged {
+                    // Rate changed (or the kernel just started/stalled):
+                    // reschedule its completion. Kernels whose rate is
+                    // untouched keep their already-scheduled event.
+                    self.push_completion(slot);
+                }
+                if alloc_changed && self.trace.is_some() {
+                    let seq = self.instances[slot].trace_seq;
+                    if seq != 0 {
+                        self.trace_emit(TraceEvent::SmAlloc {
+                            at: self.now,
+                            seq,
+                            sms: a,
+                        });
                     }
                 }
             }
@@ -1708,36 +1695,6 @@ impl Gpu {
         self.scratch.compute = compute;
         self.scratch.h2d = h2d;
         self.scratch.d2h = d2h;
-    }
-
-    /// Commits one compute kernel's allocation and interference-adjusted
-    /// rate: reschedules its completion when the rate actually changed
-    /// and emits the `SmAlloc` trace event when the allocation moved.
-    /// Shared, op-for-op, by both interference models so the scalar path
-    /// stays bit-identical to the pre-channel engine.
-    fn apply_compute_rate(&mut self, slot: usize, a: f64, new_rate: f64) {
-        let unchanged =
-            (self.instances[slot].rate - new_rate).abs() < 1e-12 && self.instances[slot].rate > 0.0;
-        let inst = &mut self.instances[slot];
-        let alloc_changed = inst.alloc_sms != a;
-        inst.alloc_sms = a;
-        inst.rate = new_rate;
-        if !unchanged {
-            // Rate changed (or the kernel just started/stalled):
-            // reschedule its completion. Kernels whose rate is
-            // untouched keep their already-scheduled event.
-            self.push_completion(slot);
-        }
-        if alloc_changed && self.trace.is_some() {
-            let seq = self.instances[slot].trace_seq;
-            if seq != 0 {
-                self.trace_emit(TraceEvent::SmAlloc {
-                    at: self.now,
-                    seq,
-                    sms: a,
-                });
-            }
-        }
     }
 
     /// Block-granular greedy allocation (the default hardware model):
@@ -2324,28 +2281,28 @@ mod tests {
     }
 
     #[test]
-    fn per_channel_collapse_pins_the_same_slowdown() {
-        // Mirror of `interference_slows_memory_hungry_pairs` under the
-        // per-resource collapse twin: all demand on the DRAM-BW channel
-        // with the matched curve must reproduce 162 775 ns exactly.
-        let mut gpu = Gpu::new(
-            GpuSpec::a100().collapse_twin(crate::Channel::DramBw),
-            HostCosts::free(),
-        );
+    fn one_live_channel_pins_the_same_slowdown_on_any_channel() {
+        // Mirror of `interference_slows_memory_hungry_pairs` with the
+        // paper's curve moved to the L2 channel and all demand on L2: the
+        // channel identity does not matter, 162 775 ns exactly.
+        let mut spec = GpuSpec::a100();
+        spec.channel_model = crate::ChannelParams::one_channel(crate::Channel::L2, 1.5, 0.30, 2.0);
+        let mut gpu = Gpu::new(spec, HostCosts::free());
         let ctx = gpu.create_context(CtxKind::Default).unwrap();
         let q1 = gpu.create_queue(ctx).unwrap();
         let q2 = gpu.create_queue(ctx).unwrap();
+        let on_l2 = crate::ChannelDemand::collapsed(crate::Channel::L2, 0.9);
         let a = gpu
             .launch(
                 q1,
-                KernelDesc::compute("a", SimDuration::from_micros(100), 54, 0.9),
+                KernelDesc::compute("a", SimDuration::from_micros(100), 54, 0.9).with_demand(on_l2),
                 0,
             )
             .unwrap();
         let b = gpu
             .launch(
                 q2,
-                KernelDesc::compute("b", SimDuration::from_micros(100), 54, 0.9),
+                KernelDesc::compute("b", SimDuration::from_micros(100), 54, 0.9).with_demand(on_l2),
                 1,
             )
             .unwrap();
@@ -2361,12 +2318,35 @@ mod tests {
     }
 
     #[test]
+    fn paper_scalar_term_reads_only_dram_demand() {
+        // `with_demand` under the paper's one-channel curve: only the
+        // DRAM-BW component interferes, so the memory-hungry pair of
+        // `interference_slows_memory_hungry_pairs` with its demand moved
+        // to L2 runs at full speed.
+        let mut gpu = free_gpu();
+        let ctx = gpu.create_context(CtxKind::Default).unwrap();
+        let q1 = gpu.create_queue(ctx).unwrap();
+        let q2 = gpu.create_queue(ctx).unwrap();
+        let on_l2 = crate::ChannelDemand::collapsed(crate::Channel::L2, 0.9);
+        let mut done = Vec::new();
+        for (q, tag) in [(q1, 0), (q2, 1)] {
+            let k =
+                KernelDesc::compute("k", SimDuration::from_micros(100), 54, 0.9).with_demand(on_l2);
+            done.push(gpu.launch(q, k, tag).unwrap());
+        }
+        run_all(&mut gpu);
+        for h in done {
+            assert_eq!(gpu.kernel_finished_at(h), Some(SimTime::from_micros(100)));
+        }
+    }
+
+    #[test]
     fn disjoint_channels_interfere_only_through_the_base_floor() {
         // Under the per-resource model, kernels pressing on *different*
         // channels only feel each other through the demand-independent
         // base floor — strictly weaker than same-channel contention.
-        // This is the decomposition the scalar model cannot express: to
-        // it both pairs look identical (mem_intensity 0.9 each).
+        // This is the decomposition the paper's scalar term cannot
+        // express: to a single live channel both pairs look alike.
         let pair = |da: crate::ChannelDemand, db: crate::ChannelDemand| {
             let mut gpu = Gpu::new(GpuSpec::a100_per_resource(), HostCosts::free());
             let ctx = gpu.create_context(CtxKind::Default).unwrap();
@@ -2402,7 +2382,7 @@ mod tests {
     fn dma_streams_press_on_the_pcie_channel() {
         // A PCIe-hungry compute kernel is slowed by a concurrent DMA
         // stream under the calibrated per-resource model, and untouched
-        // by it under the scalar model.
+        // by it under the paper's scalar term (no DMA coupling).
         let kernel = KernelDesc::compute("pcie", SimDuration::from_micros(100), 54, 0.0)
             .with_demand(crate::ChannelDemand::collapsed(crate::Channel::Pcie, 1.0));
         let run = |spec: GpuSpec| {

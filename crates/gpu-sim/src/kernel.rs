@@ -78,20 +78,18 @@ pub struct KernelDesc {
     /// paper's per-kernel `d%` expressed in SM count. Always ≥ 1 for
     /// compute kernels.
     pub max_sms: u32,
-    /// Memory-bandwidth intensity in `[0, 1]`; drives the interference
-    /// model when kernels co-run under [`crate::ChannelModel::Scalar`].
-    pub mem_intensity: f64,
-    /// Per-channel resource demand; drives the interference model under
-    /// [`crate::ChannelModel::PerResource`]. The constructors collapse
-    /// `mem_intensity` onto [`Channel::DramBw`], which keeps the default
-    /// per-resource behaviour equivalent to the scalar model; use
+    /// Per-channel resource demand; drives the interference model when
+    /// kernels co-run. The compute constructors put their memory
+    /// intensity on [`Channel::DramBw`], the channel the paper's scalar
+    /// term ([`crate::ChannelParams::paper_scalar`]) reads; use
     /// [`KernelDesc::with_demand`] for richer vectors.
     pub demand: ChannelDemand,
 }
 
 impl KernelDesc {
     /// Builds a compute kernel from its duration when given at least
-    /// `max_sms` SMs (its "full speed" duration).
+    /// `max_sms` SMs (its "full speed" duration) and its memory-bandwidth
+    /// intensity, which becomes its DRAM-BW demand.
     ///
     /// # Panics
     ///
@@ -112,7 +110,6 @@ impl KernelDesc {
             kind: KernelKind::Compute { tensor_core: false },
             work: full_speed_duration.as_nanos() as f64 * max_sms as f64,
             max_sms,
-            mem_intensity,
             demand: ChannelDemand::collapsed(Channel::DramBw, mem_intensity),
         }
     }
@@ -136,7 +133,6 @@ impl KernelDesc {
             kind: KernelKind::MemcpyH2D { bytes },
             work: 0.0,
             max_sms: 0,
-            mem_intensity: 0.0,
             demand: ChannelDemand::ZERO,
         }
     }
@@ -148,14 +144,13 @@ impl KernelDesc {
             kind: KernelKind::MemcpyD2H { bytes },
             work: 0.0,
             max_sms: 0,
-            mem_intensity: 0.0,
             demand: ChannelDemand::ZERO,
         }
     }
 
-    /// This kernel with an explicit per-channel demand vector (only
-    /// meaningful under [`crate::ChannelModel::PerResource`]; the scalar
-    /// model keeps reading `mem_intensity`).
+    /// This kernel with an explicit per-channel demand vector, replacing
+    /// the DRAM-BW demand its constructor set. Under the paper's scalar
+    /// term only the DRAM-BW component interferes.
     pub fn with_demand(mut self, demand: ChannelDemand) -> Self {
         self.demand = demand;
         self
@@ -270,6 +265,5 @@ mod tests {
         let d = ChannelDemand::new(0.2, 0.5, 0.3, 0.1);
         let k = KernelDesc::compute("k", SimDuration::from_micros(10), 8, 0.6).with_demand(d);
         assert_eq!(k.demand, d);
-        assert_eq!(k.mem_intensity, 0.6);
     }
 }

@@ -42,7 +42,7 @@
 //! Lanes model **fully isolated** shares: no cross-lane memory-bandwidth
 //! interference and no shared SM pool. Workloads whose tenants genuinely
 //! couple (semi-spatial shares spilling into the common pool, non-zero
-//! `mem_intensity` across partition boundaries) belong on one lane
+//! channel demand across partition boundaries) belong on one lane
 //! together — the `core` crate's lane hints derive exactly this grouping
 //! from the squad/partition structure. Against the monolithic engine, a
 //! lane-sharded run is bit-identical precisely when the workload is

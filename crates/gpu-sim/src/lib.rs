@@ -11,9 +11,10 @@
 //!   ([`CtxKind`]),
 //! * in-order device queues (CUDA-stream semantics) with cross-queue
 //!   concurrency,
-//! * a memory-bandwidth interference model calibrated to the paper's
-//!   Fig. 9 measurements, with an opt-in four-channel per-resource
-//!   variant ([`channel`]),
+//! * per-resource interference curves ([`channel`]): by default the
+//!   paper's memory-bandwidth term calibrated to its Fig. 9
+//!   measurements, as one live channel, with an opt-in calibrated
+//!   four-channel set,
 //! * PCIe DMA engines for memcpy kernels, and
 //! * a host timeline with the §6.9 costs (3 µs launches, 20 µs squad sync,
 //!   50 µs context-switch vacuum, per-kernel scheduling costs).
@@ -44,7 +45,7 @@ pub mod lanes;
 pub mod sim;
 pub mod spec;
 
-pub use channel::{Channel, ChannelDemand, ChannelModel, ChannelParams, NUM_CHANNELS};
+pub use channel::{Channel, ChannelDemand, ChannelParams, NUM_CHANNELS};
 pub use engine::{
     CtxId, CtxKind, DeviceCheckpoint, FailedKernel, FaultCounters, Gpu, GpuError, InstState,
     KernelHandle, QueueId, StepOutput, TimelineSegment,

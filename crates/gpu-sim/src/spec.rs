@@ -1,8 +1,12 @@
 //! Static description of the simulated GPU and host-side costs.
+//!
+//! A [`GpuSpec`] describes interference with one [`ChannelParams`] set
+//! (DESIGN.md §5j): the paper's scalar term as one live DRAM-BW channel
+//! by default, or the calibrated four-channel set.
 
 use sim_core::SimDuration;
 
-use crate::channel::{Channel, ChannelModel, ChannelParams};
+use crate::channel::ChannelParams;
 
 /// How the hardware scheduler divides SMs among concurrently runnable
 /// kernels.
@@ -25,7 +29,8 @@ pub enum HwPolicy {
 /// Hardware description of the simulated GPU.
 ///
 /// The defaults model the Nvidia A100 used in the paper (108 SMs, 40 GB),
-/// with the interference parameters calibrated so that
+/// with the interference curve ([`ChannelParams::paper_scalar`])
+/// calibrated so that
 ///
 /// * kernel-level slowdown under worst-case memory pressure stays below the
 ///   2× cap the paper measures (Fig. 9a), and
@@ -38,14 +43,6 @@ pub struct GpuSpec {
     pub memory_mib: u64,
     /// Effective PCIe bandwidth per direction, bytes per second.
     pub pcie_bytes_per_sec: f64,
-    /// Interference strength: how strongly aggregate memory traffic from
-    /// co-running kernels slows a kernel down.
-    pub interference_alpha: f64,
-    /// Fraction of the slowdown that applies even to compute-bound kernels
-    /// (the rest scales with the victim's own memory intensity).
-    pub interference_base: f64,
-    /// Hard cap on the kernel-level slowdown ratio (paper Fig. 9a: ≤ 2×).
-    pub interference_cap: f64,
     /// GPU memory consumed by each additional MPS context (§6.9: ~230 MB).
     pub mps_context_mib: u64,
     /// Hardware scheduler model.
@@ -66,13 +63,12 @@ pub struct GpuSpec {
     /// measured inefficiency that makes NSP squads slower than spatially
     /// partitioned ones (Fig. 7, Fig. 17).
     pub contended_dispatch_gap: SimDuration,
-    /// Interference-model switch (DESIGN.md §5j). The default,
-    /// [`ChannelModel::Scalar`], is byte-identical to the original
-    /// single-scalar model driven by `interference_alpha`/`_base`/`_cap`
-    /// above; [`ChannelModel::PerResource`] replaces it with the
-    /// four-channel contended-resource model driven by each kernel's
-    /// [`crate::ChannelDemand`] vector.
-    pub channel_model: ChannelModel,
+    /// The interference curves (DESIGN.md §5j), read against each
+    /// kernel's [`crate::ChannelDemand`] vector. The default is the
+    /// paper's scalar term as one live DRAM-BW channel
+    /// ([`ChannelParams::paper_scalar`]); [`GpuSpec::a100_per_resource`]
+    /// carries the calibrated four-channel set.
+    pub channel_model: ChannelParams,
 }
 
 impl GpuSpec {
@@ -82,14 +78,11 @@ impl GpuSpec {
             num_sms: 108,
             memory_mib: 40 * 1024,
             pcie_bytes_per_sec: 25.0e9,
-            interference_alpha: 1.5,
-            interference_base: 0.30,
-            interference_cap: 2.0,
             mps_context_mib: 230,
             hw_policy: HwPolicy::GreedySticky,
             dispatch_min_fraction: 0.45,
             contended_dispatch_gap: SimDuration::from_micros(4),
-            channel_model: ChannelModel::Scalar,
+            channel_model: ChannelParams::paper_scalar(),
         }
     }
 
@@ -103,37 +96,12 @@ impl GpuSpec {
     }
 
     /// A100 with the calibrated four-channel interference model
-    /// ([`ChannelParams::a100`]) instead of the scalar one.
+    /// ([`ChannelParams::a100`]) instead of the paper's one-channel
+    /// scalar term.
     pub fn a100_per_resource() -> Self {
         GpuSpec {
-            channel_model: ChannelModel::PerResource(ChannelParams::a100()),
+            channel_model: ChannelParams::a100(),
             ..Self::a100()
-        }
-    }
-
-    /// This spec with a different interference model.
-    pub fn with_channel_model(mut self, model: ChannelModel) -> Self {
-        self.channel_model = model;
-        self
-    }
-
-    /// The per-resource *collapse twin* of this spec: the same hardware
-    /// with [`ChannelModel::PerResource`] whose `ch` channel carries this
-    /// spec's scalar α/base/cap curve and every other channel is inert
-    /// ([`ChannelParams::matched_scalar`]). With all kernel demand
-    /// collapsed onto `ch`, the twin simulates bit-identically to the
-    /// scalar spec — the property pinned by
-    /// `tests/channel_differential.rs`.
-    pub fn collapse_twin(&self, ch: Channel) -> Self {
-        let params = ChannelParams::matched_scalar(
-            self.interference_alpha,
-            self.interference_base,
-            self.interference_cap,
-            ch,
-        );
-        GpuSpec {
-            channel_model: ChannelModel::PerResource(params),
-            ..self.clone()
         }
     }
 }
@@ -203,7 +171,11 @@ mod tests {
         assert_eq!(spec.num_sms, 108);
         assert_eq!(spec.memory_mib, 40 * 1024);
         assert_eq!(spec.mps_context_mib, 230);
-        assert!(spec.interference_cap <= 2.0 + f64::EPSILON);
+        assert!(spec
+            .channel_model
+            .cap
+            .iter()
+            .all(|&c| c <= 2.0 + f64::EPSILON));
     }
 
     #[test]
@@ -225,32 +197,13 @@ mod tests {
     }
 
     #[test]
-    fn default_channel_model_is_scalar() {
-        assert!(GpuSpec::a100().channel_model.is_scalar());
-        assert!(GpuSpec::a100_with_sms(54).channel_model.is_scalar());
-    }
-
-    #[test]
-    fn collapse_twin_carries_the_scalar_curve() {
-        let spec = GpuSpec::a100();
-        let twin = spec.collapse_twin(Channel::DramBw);
-        match &twin.channel_model {
-            ChannelModel::PerResource(p) => {
-                let c = Channel::DramBw as usize;
-                assert_eq!(p.alpha[c], spec.interference_alpha);
-                assert_eq!(p.base[c], spec.interference_base);
-                assert_eq!(p.cap[c], spec.interference_cap);
-                assert_eq!(p.dma_pcie_weight, 0.0);
-                for other in 0..crate::NUM_CHANNELS {
-                    if other != c {
-                        assert_eq!(p.alpha[other], 0.0);
-                        assert_eq!(p.cap[other], 1.0);
-                    }
-                }
-            }
-            ChannelModel::Scalar => panic!("twin must be per-resource"),
-        }
-        assert_eq!(twin.num_sms, spec.num_sms);
+    fn default_channel_model_is_the_paper_scalar() {
+        assert_eq!(GpuSpec::a100().channel_model, ChannelParams::paper_scalar());
+        assert_eq!(
+            GpuSpec::a100_with_sms(54).channel_model,
+            ChannelParams::paper_scalar()
+        );
+        assert!(!GpuSpec::a100().channel_model.prices_contention());
     }
 
     #[test]

@@ -9,7 +9,7 @@
 
 use dnn_models::micro;
 use dnn_models::{ModelKind, Phase};
-use gpu_sim::{Channel, ChannelDemand, CtxKind, Gpu, GpuSpec, HostCosts};
+use gpu_sim::{Channel, ChannelDemand, ChannelParams, CtxKind, Gpu, GpuSpec, HostCosts};
 use metrics::Table;
 use sim_core::{SimDuration, SimTime};
 use workloads::{pair_workload, PaperWorkload};
@@ -17,29 +17,14 @@ use workloads::{pair_workload, PaperWorkload};
 use crate::cache;
 use crate::runner::{run_system, System};
 
-/// Runs a victim kernel against an aggressor and returns the slowdown.
+/// Runs a victim kernel against an aggressor, both with their memory
+/// intensity on DRAM-BW, and returns the slowdown.
 pub fn kernel_slowdown(victim_mem: f64, aggressor_mem: f64, spec: &GpuSpec) -> f64 {
-    let mut gpu = Gpu::new(spec.clone(), HostCosts::free());
-    let ctx = crate::require_ok(gpu.create_context(CtxKind::Default), "create context");
-    let q1 = crate::require_ok(gpu.create_queue(ctx), "create queue");
-    let q2 = crate::require_ok(gpu.create_queue(ctx), "create queue");
-    let base = SimDuration::from_micros(500);
-    let half = spec.num_sms / 2;
-    let v = crate::require_ok(
-        gpu.launch(q1, micro::victim(base, half, victim_mem), 0),
-        "launch",
-    );
-    crate::require_ok(
-        gpu.launch(q2, micro::aggressor(half, aggressor_mem), 1),
-        "launch",
-    );
-    while gpu.kernel_finished_at(v).is_none() {
-        if gpu.step().is_none() && gpu.peek_event_time().is_none() {
-            break;
-        }
-    }
-    let t = crate::require(gpu.kernel_finished_at(v), "victim finished");
-    t.duration_since(SimTime::ZERO).as_nanos() as f64 / base.as_nanos() as f64
+    channel_kernel_slowdown(
+        ChannelDemand::collapsed(Channel::DramBw, victim_mem),
+        ChannelDemand::collapsed(Channel::DramBw, aggressor_mem),
+        spec,
+    )
 }
 
 /// Regenerates Fig. 9(a).
@@ -96,6 +81,16 @@ pub fn channel_kernel_slowdown(
     t.duration_since(SimTime::ZERO).as_nanos() as f64 / base.as_nanos() as f64
 }
 
+/// The A100 with the paper's scalar curve moved from DRAM-BW to `ch`.
+fn paper_curve_on(ch: Channel) -> GpuSpec {
+    let paper = ChannelParams::paper_scalar();
+    let d = Channel::DramBw as usize;
+    GpuSpec {
+        channel_model: ChannelParams::one_channel(ch, paper.alpha[d], paper.base[d], paper.cap[d]),
+        ..GpuSpec::a100()
+    }
+}
+
 /// Regenerates Fig. 9(c): the per-resource decomposition of Fig. 9(a).
 /// Each cell co-locates a victim pressing 0.5 on one channel with an
 /// aggressor pressing 1.0 on another, under the calibrated
@@ -128,11 +123,11 @@ pub fn run_c() -> Vec<Table> {
     }
     t.note("diagonal = same-channel contention; off-diagonal = base-floor coupling only");
 
-    // Collapse equality: the per-resource model with all demand on one
-    // channel carrying the scalar curve reproduces the scalar model to the
-    // last bit (the differential-twin invariant, DESIGN.md §5j).
+    // Collapse equality: the paper's scalar curve moved to another channel
+    // (L2), with all demand on that channel, reproduces the paper's
+    // DRAM-BW term to the last bit (DESIGN.md §5j).
     let scalar = GpuSpec::a100();
-    let twin = scalar.collapse_twin(Channel::DramBw);
+    let twin = paper_curve_on(Channel::L2);
     let mut eq = Table::new(
         "Fig. 9(c) cont.: collapse-twin equality against the scalar model",
         &["victim mem", "scalar slowdown", "twin slowdown", "equal"],
@@ -140,8 +135,8 @@ pub fn run_c() -> Vec<Table> {
     for mem in [0.0, 0.5, 1.0] {
         let s = kernel_slowdown(mem, 1.0, &scalar);
         let c = channel_kernel_slowdown(
-            ChannelDemand::collapsed(Channel::DramBw, mem),
-            ChannelDemand::collapsed(Channel::DramBw, 1.0),
+            ChannelDemand::collapsed(Channel::L2, mem),
+            ChannelDemand::collapsed(Channel::L2, 1.0),
             &twin,
         );
         eq.row(&[
@@ -262,7 +257,7 @@ mod tests {
     /// and cannot tell the channels apart).
     #[test]
     fn fig9c_channel_predictor_error_no_worse_than_scalar() {
-        use gpu_sim::{ChannelParams, NUM_CHANNELS};
+        use gpu_sim::NUM_CHANNELS;
         let spec = GpuSpec::a100_per_resource();
         let params = ChannelParams::a100();
         let split = |m: f64| ChannelDemand::new(0.0, m / 2.0, m / 2.0, 0.0);
@@ -282,12 +277,16 @@ mod tests {
                 }
                 let chan_pred = params.slowdown(&vd, 0.5, &traffic);
 
-                // Scalar closed form on the lumped intensities.
-                let total = victim_mem * 0.5 + aggr_mem * 0.5;
-                let pressure = (total - victim_mem * 0.5).max(0.0);
-                let sens = spec.interference_base + (1.0 - spec.interference_base) * victim_mem;
-                let scalar_pred =
-                    (1.0 + spec.interference_alpha * pressure * sens).min(spec.interference_cap);
+                // Scalar closed form on the lumped intensities: the
+                // paper's one-channel curve with everything on DRAM-BW.
+                let lumped = |m: f64| ChannelDemand::collapsed(Channel::DramBw, m);
+                let mut lumped_traffic = [0.0f64; NUM_CHANNELS];
+                lumped_traffic[Channel::DramBw as usize] = victim_mem * 0.5 + aggr_mem * 0.5;
+                let scalar_pred = ChannelParams::paper_scalar().slowdown(
+                    &lumped(victim_mem),
+                    0.5,
+                    &lumped_traffic,
+                );
 
                 let chan_err = (chan_pred - measured).abs();
                 let scalar_err = (scalar_pred - measured).abs();
@@ -302,14 +301,14 @@ mod tests {
     }
 
     #[test]
-    fn fig9c_collapse_twin_matches_scalar_exactly() {
+    fn fig9c_paper_curve_on_l2_matches_scalar_exactly() {
         let scalar = GpuSpec::a100();
-        let twin = scalar.collapse_twin(Channel::DramBw);
+        let twin = paper_curve_on(Channel::L2);
         for mem in [0.0, 0.5, 1.0] {
             let s = kernel_slowdown(mem, 1.0, &scalar);
             let c = channel_kernel_slowdown(
-                ChannelDemand::collapsed(Channel::DramBw, mem),
-                ChannelDemand::collapsed(Channel::DramBw, 1.0),
+                ChannelDemand::collapsed(Channel::L2, mem),
+                ChannelDemand::collapsed(Channel::L2, 1.0),
                 &twin,
             );
             assert_eq!(s.to_bits(), c.to_bits(), "mem {mem}: {s} vs {c}");

@@ -15,13 +15,22 @@
 
 use bless::BlessParams;
 use dnn_models::{ModelKind, Phase};
-use gpu_sim::{GpuSpec, HwPolicy};
+use gpu_sim::{Channel, ChannelParams, GpuSpec, HwPolicy};
 use metrics::Table;
 use sim_core::{SimDuration, SimTime};
 use workloads::{pair_workload, PaperWorkload};
 
 use crate::cache;
 use crate::runner::{run_system, System};
+
+/// The A100 with the paper's DRAM-BW interference curve at strength
+/// `alpha` (base 0.30 and cap 2.0 as calibrated).
+fn with_alpha(alpha: f64) -> GpuSpec {
+    GpuSpec {
+        channel_model: ChannelParams::one_channel(Channel::DramBw, alpha, 0.30, 2.0),
+        ..GpuSpec::a100()
+    }
+}
 
 /// Runs the Fig. 4(b) pair under a custom GPU spec; returns
 /// (BLESS ms, UNBOUND ms, GSLICE ms).
@@ -82,13 +91,8 @@ pub fn run() -> Vec<Table> {
     big_gap.contended_dispatch_gap = SimDuration::from_micros(20);
     row("dispatch gap 20us", &big_gap);
 
-    let mut no_interf = GpuSpec::a100();
-    no_interf.interference_alpha = 0.0;
-    row("no memory interference", &no_interf);
-
-    let mut heavy_interf = GpuSpec::a100();
-    heavy_interf.interference_alpha = 3.0;
-    row("interference alpha 3.0 (~14% app level)", &heavy_interf);
+    row("no memory interference", &with_alpha(0.0));
+    row("interference alpha 3.0 (~14% app level)", &with_alpha(3.0));
 
     t.note("BLESS's win over GSLICE is robust to every knob; the BLESS-vs-UNBOUND margin is calibration-sensitive (see EXPERIMENTS.md)");
     vec![t]
@@ -109,11 +113,7 @@ mod tests {
                 s.hw_policy = HwPolicy::FairShare;
                 s
             }),
-            ("no interference", {
-                let mut s = GpuSpec::a100();
-                s.interference_alpha = 0.0;
-                s
-            }),
+            ("no interference", with_alpha(0.0)),
         ] {
             let (b, _, g) = headline_under(&spec);
             assert!(b < g, "{label}: BLESS {b:.2} vs GSLICE {g:.2}");
